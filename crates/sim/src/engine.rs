@@ -444,6 +444,29 @@ pub(crate) fn step_is_compilable(sim: &SocSimulator, lanes: &[Lane], routes: &Ro
     step_compile_blocker(sim, lanes, routes).is_none()
 }
 
+/// Length of the run of shift cycles that opens `cycles`, capped at the 64
+/// cycles one `test_clock_words` call takes.
+pub(crate) fn shift_run(cycles: &[(BitVec, ClockKind)]) -> usize {
+    cycles
+        .iter()
+        .take(64)
+        .take_while(|(_, kind)| *kind == ClockKind::Shift)
+        .count()
+}
+
+/// Transposes the stimuli of up to 64 `cycles` into per-port planes: bit
+/// `c` of `planes[j]` is port `j`'s stimulus at cycle `c`.
+pub(crate) fn stimulus_planes(cycles: &[(BitVec, ClockKind)], planes: &mut [u64]) {
+    planes.fill(0);
+    for (c, (stim, _)) in cycles.iter().enumerate() {
+        for (j, plane) in planes.iter_mut().enumerate() {
+            if stim.get(j).expect("stim P wide") {
+                *plane |= 1 << c;
+            }
+        }
+    }
+}
+
 /// What one lane's batched session produced.
 struct LaneOutcome {
     /// Bit mismatches against the golden model (the interpreter's
@@ -490,19 +513,8 @@ fn run_lane(
     let mut t = 0usize;
     while t < len {
         if cycles[t].1 == ClockKind::Shift {
-            let mut run = 1usize;
-            while run < 64 && t + run < len && cycles[t + run].1 == ClockKind::Shift {
-                run += 1;
-            }
-            // Transpose the stimuli into per-port planes (bit c = cycle t+c).
-            planes.iter_mut().for_each(|p| *p = 0);
-            for (c, (stim, _)) in cycles[t..t + run].iter().enumerate() {
-                for (j, plane) in planes.iter_mut().enumerate() {
-                    if stim.get(j).expect("stim P wide") {
-                        *plane |= 1 << c;
-                    }
-                }
-            }
+            let run = shift_run(&cycles[t..]);
+            stimulus_planes(&cycles[t..t + run], &mut planes);
             let produced = wrapper.clock_parallel_words(&planes, run);
             let expected = golden.test_clock_words(&planes, run);
             let kept = run.min(limit.saturating_sub(t + 1));

@@ -19,12 +19,18 @@
 //!   the scalar model (a scan flop, a MISR stage, a memory cell bit) is one
 //!   `u64`, bit `l` belonging to device-lane `l`, and the per-device
 //!   defects become per-lane force/mask words. One shift or capture clock
-//!   then advances all of them at once against a single shared golden model
-//!   (stimuli are broadcast — every lane sees the same plan). Per-lane
-//!   mismatch counts and signatures are extracted at the session boundary
-//!   by transposing the time-major observation words back into per-lane
-//!   streams and feeding the *same* `lane_signature` fold the scalar
-//!   engines use.
+//!   then advances all of them at once (stimuli are broadcast — every lane
+//!   sees the same plan). At the session boundary one transpose per 64-slot
+//!   block turns the time-major observation words back into every lane's
+//!   per-port streams, which feed the *same* `lane_signature` fold the
+//!   scalar engines use.
+//! * **The golden response is computed once per engine.** Every lane's
+//!   expected response is the healthy core's, whatever the cohort. Each
+//!   lane spec computes it on the first lane run that needs it — with the
+//!   core model's word-level `test_clock_words`, up to 64 shifts per call —
+//!   and keeps it as one observed stream per port. A lane's mismatch count
+//!   is then the Hamming distance between its streams and those; no lane
+//!   run instantiates a golden model.
 //! * **Everything else falls back, per device.** Monitored runs, programs
 //!   with any step the word-level fast path cannot express, and defects the
 //!   lane encoding cannot carry are executed by the unchanged scalar
@@ -51,16 +57,16 @@
 //! {1, 2, 63, 64, 65, 256} and thread counts {1, 2, 4}.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use casbus::RouteTableCache;
 use casbus_controller::CompiledProgram;
 use casbus_soc::models::{self, PackedBistLanes, PackedMemoryLanes, PackedScanLanes};
 use casbus_soc::{CoreDescription, SocDescription, TestMethod};
 use casbus_tpg::lanes::{broadcast, LaneStreams, LANES};
-use casbus_tpg::Verdict;
+use casbus_tpg::{BitVec, Verdict};
 
-use crate::engine::{step_compile_blocker, CompiledEngine};
+use crate::engine::{shift_run, step_compile_blocker, stimulus_planes, CompiledEngine};
 use crate::fleet::{test_device, DeviceReport, FaultKind, InjectedFault};
 use crate::report::{collect_lanes, SocTestReport};
 use crate::session::{lane_signature, ClockKind, SessionPlan};
@@ -78,6 +84,78 @@ struct PackedLaneSpec {
     plan: SessionPlan,
     /// The step's data-clock horizon (longest concurrent plan).
     horizon: usize,
+    /// The healthy session, computed by the first lane run that needs it
+    /// (see [`healthy`](Self::healthy)).
+    healthy: OnceLock<HealthySession>,
+}
+
+/// What every lane run of one spec shares, one bit per port per cycle.
+struct HealthySession {
+    /// `stimulus[port]` bit `t`: the plan's stimulus at observed cycle `t`,
+    /// read contiguously instead of from the plan's per-cycle vectors.
+    stimulus: Vec<BitVec>,
+    /// The healthy core's observed per-port streams, in the slot layout a
+    /// lane run records.
+    expected: Vec<BitVec>,
+}
+
+impl PackedLaneSpec {
+    /// Observation slots of the session: `min(horizon, len + 1)`, one
+    /// initial all-zero slot plus one per cycle `t` with `t + 1 < limit`.
+    fn limit(&self) -> usize {
+        self.horizon.min(self.plan.len() + 1)
+    }
+
+    /// The plan cycles that land in an observation slot; later cycles
+    /// cannot change a verdict or a signature.
+    fn observed_cycles(&self) -> &[(BitVec, ClockKind)] {
+        &self.plan.cycles()[..self.limit().saturating_sub(1)]
+    }
+
+    /// The healthy session, computed once, on first use, with the model's
+    /// word-level `test_clock_words` (up to 64 shifts per call). Engines
+    /// are compiled per lot and most lots need few of their cores' golden
+    /// responses, so computing them eagerly would only add compile time.
+    fn healthy(&self) -> &HealthySession {
+        self.healthy.get_or_init(|| {
+            let ports = self.plan.ports();
+            let cycles = self.observed_cycles();
+            let mut golden = models::instantiate(&self.desc);
+            let mut stimulus = vec![BitVec::with_capacity(cycles.len()); ports];
+            let mut expected = vec![BitVec::with_capacity(self.limit()); ports];
+            if self.limit() > 0 {
+                expected.iter_mut().for_each(|s| s.push(false));
+            }
+            let mut planes = vec![0u64; ports];
+            let mut t = 0;
+            while t < cycles.len() {
+                match cycles[t].1 {
+                    ClockKind::Shift => {
+                        let run = shift_run(&cycles[t..]);
+                        stimulus_planes(&cycles[t..t + run], &mut planes);
+                        let produced = golden.test_clock_words(&planes, run);
+                        for (stream, &word) in stimulus.iter_mut().zip(&planes) {
+                            stream.push_word(word, run);
+                        }
+                        for (stream, &word) in expected.iter_mut().zip(&produced) {
+                            stream.push_word(word, run);
+                        }
+                        t += run;
+                    }
+                    ClockKind::Capture => {
+                        golden.capture_clock();
+                        stimulus.iter_mut().for_each(|s| s.push(false));
+                        expected.iter_mut().for_each(|s| s.push(false));
+                        t += 1;
+                    }
+                    ClockKind::Update | ClockKind::Idle => {
+                        unreachable!("packable plans contain only shifts and captures")
+                    }
+                }
+            }
+            HealthySession { stimulus, expected }
+        })
+    }
 }
 
 /// The compiled packed device-parallel engine: one healthy baseline report
@@ -155,6 +233,7 @@ impl PackedDeviceEngine {
                         desc: lane.desc,
                         plan: lane.plan,
                         horizon,
+                        healthy: OnceLock::new(),
                     });
                 slot += 1;
             }
@@ -345,11 +424,11 @@ impl PackedModel {
         }
     }
 
-    fn test_clock_lanes(&mut self, inputs: &[u64]) -> Vec<u64> {
+    fn test_clock_lanes(&mut self, inputs: &[u64], outputs: &mut [u64]) {
         match self {
-            Self::Scan(m) => m.test_clock_lanes(inputs),
-            Self::Bist(m) => m.test_clock_lanes(inputs),
-            Self::Memory(m) => m.test_clock_lanes(inputs),
+            Self::Scan(m) => m.test_clock_lanes(inputs, outputs),
+            Self::Bist(m) => m.test_clock_lanes(inputs, outputs),
+            Self::Memory(m) => m.test_clock_lanes(inputs, outputs),
         }
     }
 
@@ -369,72 +448,56 @@ impl PackedModel {
 /// packed into words: `limit = min(horizon, len + 1)` observation slots,
 /// one initial all-zero slot (the retimed zeros of `t = 0`), shift cycle
 /// `t` observed iff `t + 1 < limit`, capture cycles recording a zero slot.
-/// The golden model is shared — stimuli are broadcast, so every lane's
-/// expected response is the same healthy response.
+/// Cycles from `limit - 1` on are never observed, so they are not run.
+/// Stimuli are broadcast, so every lane's expected response is the spec's
+/// stored healthy response, and a lane's mismatch count is the Hamming
+/// distance between its observed streams and that response.
 fn run_packed_lane(spec: &PackedLaneSpec, faults: &[&InjectedFault]) -> Vec<(Verdict, u64)> {
     let ports = spec.plan.ports();
-    let len = spec.plan.len();
-    let limit = spec.horizon.min(len + 1);
     let n_lanes = faults.len();
     debug_assert!(0 < n_lanes && n_lanes <= LANES);
-    let active_mask = if n_lanes == LANES {
-        u64::MAX
-    } else {
-        (1u64 << n_lanes) - 1
-    };
+    let healthy = spec.healthy();
 
     let mut packed = PackedModel::build(&spec.desc, faults);
-    let mut golden = models::instantiate(&spec.desc);
-    let mut mismatches = vec![0usize; n_lanes];
-    let mut streams = LaneStreams::new(ports);
-    if limit > 0 {
+    let mut streams = LaneStreams::with_capacity(ports, spec.limit());
+    if spec.limit() > 0 {
         streams.push_zeros();
     }
     let mut in_words = vec![0u64; ports];
-    for (t, (stim, kind)) in spec.plan.cycles().iter().enumerate() {
-        let observe = t + 1 < limit;
+    let mut out_words = vec![0u64; ports];
+    for (t, (_, kind)) in spec.observed_cycles().iter().enumerate() {
         match kind {
             ClockKind::Shift => {
-                for (j, word) in in_words.iter_mut().enumerate() {
-                    *word = broadcast(stim.get(j).expect("stim P wide"));
+                for (word, stim) in in_words.iter_mut().zip(&healthy.stimulus) {
+                    *word = broadcast(stim.get(t).expect("stimulus covers the window"));
                 }
-                let produced = packed.test_clock_lanes(&in_words);
-                let expected = golden.test_clock(stim);
-                if observe {
-                    for (j, &word) in produced.iter().enumerate() {
-                        let mut diff =
-                            (word ^ broadcast(expected.get(j).expect("P wide"))) & active_mask;
-                        while diff != 0 {
-                            mismatches[diff.trailing_zeros() as usize] += 1;
-                            diff &= diff - 1;
-                        }
-                    }
-                    streams.push(&produced);
-                }
+                packed.test_clock_lanes(&in_words, &mut out_words);
+                streams.push(&out_words);
             }
             ClockKind::Capture => {
                 packed.capture_clock_lanes();
-                golden.capture_clock();
-                if observe {
-                    streams.push_zeros();
-                }
+                streams.push_zeros();
             }
             ClockKind::Update | ClockKind::Idle => {
                 unreachable!("packable plans contain only shifts and captures")
             }
         }
     }
-    (0..n_lanes)
+    streams
+        .extract_lanes(n_lanes)
+        .into_iter()
         .map(|lane| {
-            let signature = lane_signature(&streams.lane_streams(lane));
-            let verdict = if mismatches[lane] == 0 {
+            let mismatches: usize = lane
+                .iter()
+                .zip(&healthy.expected)
+                .map(|(got, want)| got.hamming_distance(want))
+                .sum();
+            let verdict = if mismatches == 0 {
                 Verdict::Pass
             } else {
-                Verdict::Fail {
-                    mismatches: mismatches[lane],
-                }
+                Verdict::Fail { mismatches }
             };
-            (verdict, signature)
+            (verdict, lane_signature(&lane))
         })
         .collect()
 }
@@ -595,6 +658,71 @@ mod tests {
         for (idx, report) in reports.iter().enumerate() {
             let expected = scalar_report(&soc, 4, members[idx].1.clone());
             assert_eq!(report.report, expected, "device {idx}");
+        }
+    }
+
+    #[test]
+    fn cached_golden_response_carries_no_per_run_state() {
+        // Two different all-defective 64-lane cohorts on one engine, run
+        // back to back and then from two threads at once, plus a fresh
+        // engine whose golden responses are first computed by two racing
+        // cohorts. Every report must equal its scalar twin each time.
+        for (label, soc, n) in [
+            ("figure1", catalog::figure1_soc(), 8),
+            ("maintenance", catalog::maintenance_soc(), 4),
+        ] {
+            let engine = engine_for(&soc, n);
+            assert!(engine.program_blocker.is_none(), "{label}: {engine:?}");
+            let spec = crate::VariationSpec::new(23, 1.0);
+            let cohorts: Vec<Vec<(u64, Option<InjectedFault>)>> = [0u64, 64]
+                .iter()
+                .map(|&first| {
+                    (first..first + 64)
+                        .map(|id| (id, Some(spec.fault_for(&soc, id).expect("rate 1.0"))))
+                        .collect()
+                })
+                .collect();
+            let twins: Vec<Vec<SocTestReport>> = cohorts
+                .iter()
+                .map(|members| {
+                    members
+                        .iter()
+                        .map(|(_, fault)| scalar_report(&soc, n, fault.clone()))
+                        .collect()
+                })
+                .collect();
+            let check = |pass: &str, which: usize, reports: Vec<DeviceReport>| {
+                assert_eq!(reports.len(), twins[which].len());
+                for (report, twin) in reports.iter().zip(&twins[which]) {
+                    assert_eq!(
+                        &report.report, twin,
+                        "{label} {pass} cohort {which} device {}",
+                        report.device_id
+                    );
+                }
+            };
+            let fresh = engine_for(&soc, n);
+            for round in ["first", "second"] {
+                for (which, members) in cohorts.iter().enumerate() {
+                    let reports = engine.run_cohort(members.clone()).expect("cohort");
+                    check(round, which, reports);
+                }
+            }
+            for (pass, engine) in [("threaded", &engine), ("racing fresh", &fresh)] {
+                let results: Vec<Vec<DeviceReport>> = std::thread::scope(|scope| {
+                    let handles: Vec<_> = cohorts
+                        .iter()
+                        .map(|members| scope.spawn(|| engine.run_cohort(members.clone())))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("cohort thread").expect("cohort"))
+                        .collect()
+                });
+                for (which, reports) in results.into_iter().enumerate() {
+                    check(pass, which, reports);
+                }
+            }
         }
     }
 }

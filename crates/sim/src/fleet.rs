@@ -84,11 +84,17 @@ impl VariationSpec {
     }
 
     /// Dies are defective with probability `defect_rate` (clamped to
-    /// `[0, 1]`), drawn deterministically from `seed`.
+    /// `[0, 1]`; NaN counts as 0), drawn deterministically from `seed`.
     pub fn new(seed: u64, defect_rate: f64) -> Self {
         Self {
             seed,
-            defect_rate: defect_rate.clamp(0.0, 1.0),
+            // `clamp` passes NaN through, and `x >= NaN` never holds, so a
+            // NaN rate would stamp every die defective.
+            defect_rate: if defect_rate.is_nan() {
+                0.0
+            } else {
+                defect_rate.clamp(0.0, 1.0)
+            },
         }
     }
 

@@ -77,7 +77,7 @@ use crate::simulator::SimError;
 /// count, a defect profile, and a scheduling priority.
 ///
 /// Lot names label per-lot metrics (`floor.lot.<name>.*`) and admission
-/// events; give each lot of a run a distinct name or their metrics merge.
+/// events; the lots of one run must have distinct names.
 pub struct LotSpec {
     name: String,
     soc: Arc<SocDescription>,
@@ -386,8 +386,10 @@ impl TestFloor {
     ///
     /// # Errors
     ///
-    /// Propagates lot compilation errors and the first device-level
-    /// simulation error of any lot (healthy plans do not produce any).
+    /// [`SimError::DuplicateLot`] if two lots share a name, before any
+    /// work is dispatched. Otherwise propagates lot compilation errors and
+    /// the first device-level simulation error of any lot (healthy plans
+    /// do not produce any).
     pub fn run(&self, lots: Vec<LotSpec>) -> Result<FloorReport, SimError> {
         self.run_with(lots, |_, _| {})
     }
@@ -423,6 +425,11 @@ impl TestFloor {
         mut on_report: impl FnMut(usize, &DeviceReport),
     ) -> Result<FloorReport, SimError> {
         let started = Instant::now();
+        for (idx, spec) in lots.iter().enumerate() {
+            if lots[..idx].iter().any(|other| other.name == spec.name) {
+                return Err(SimError::DuplicateLot(spec.name.clone()));
+            }
+        }
 
         // Prepare every lot up front: lane, tracker, packed engine. Engine
         // compilation warms the shared cache exactly as a standalone

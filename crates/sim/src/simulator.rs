@@ -40,6 +40,9 @@ pub enum SimError {
     /// [`run_program_searched`](crate::run_program_searched) refused to
     /// return it.
     SearchDiverged,
+    /// Two lots of one floor run share a name, so their per-lot metrics
+    /// (`floor.lot.<name>.*`) would merge.
+    DuplicateLot(String),
 }
 
 impl fmt::Display for SimError {
@@ -58,6 +61,7 @@ impl fmt::Display for SimError {
                 f,
                 "searched schedule's compiled report diverged from the bit-serial reference"
             ),
+            Self::DuplicateLot(name) => write!(f, "two lots are named {name:?}"),
         }
     }
 }

@@ -150,20 +150,20 @@ impl PackedBistLanes {
 
     /// One shift clock for all lanes: bit `l` of `inputs[0]` enters lane
     /// `l`'s access register at the seed/control end while the oldest
-    /// signature bit leaves; the returned word carries every lane's serial
+    /// signature bit leaves; `outputs[0]` receives every lane's serial
     /// output bit.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len() != 1` — BIST cores expose a single test
-    /// port.
-    pub fn test_clock_lanes(&mut self, inputs: &[u64]) -> Vec<u64> {
+    /// Panics if `inputs.len() != 1` or `outputs.len() != 1` — BIST cores
+    /// expose a single test port.
+    pub fn test_clock_lanes(&mut self, inputs: &[u64], outputs: &mut [u64]) {
         assert_eq!(inputs.len(), 1, "BIST cores expose a single test port");
-        let out = self.access[0];
+        assert_eq!(outputs.len(), 1, "BIST cores expose a single test port");
+        outputs[0] = self.access[0];
         self.access.rotate_left(1);
         let last = self.access.len() - 1;
         self.access[last] = inputs[0];
-        vec![out]
     }
 
     /// One capture clock for all lanes: runs one BIST pattern internally
@@ -268,7 +268,8 @@ mod tests {
                     for _ in 0..3 {
                         stamp += 1;
                         let input = mix(stamp);
-                        let packed_out = packed.test_clock_lanes(&[input]);
+                        let mut packed_out = [0u64];
+                        packed.test_clock_lanes(&[input], &mut packed_out);
                         for (lane, scalar) in scalars.iter_mut().enumerate() {
                             let wpi = BitVec::from_u64((input >> lane) & 1, 1);
                             let wpo = scalar.test_clock(&wpi);
@@ -332,7 +333,7 @@ mod tests {
     #[should_panic(expected = "single test port")]
     fn single_port_enforced() {
         let mut packed = PackedBistLanes::new("x", 8, 5);
-        let _ = packed.test_clock_lanes(&[0, 0]);
+        packed.test_clock_lanes(&[0, 0], &mut [0, 0]);
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! after every clock — the 2-valued device-axis analogue of the 3-plane
 //! PPSFP encoding in the fault simulator.
 //!
+//! Each chain is a ring buffer with its own head index, so one shift clock
+//! costs O(chains + forces) word operations whatever the chain lengths: the
+//! serial output is read at the slot just before the head, the head steps
+//! back onto it, and the scan-in word overwrites it. Captures, resets and
+//! reads see the chains in flop order.
+//!
 //! The transform is the exact word-wise lift of the scalar model: lane `l`
 //! of a [`PackedScanLanes`] evolves bit-identically to a standalone
 //! [`ScanCore`](super::ScanCore) carrying lane `l`'s fault (pinned by the
@@ -33,13 +39,19 @@ use super::name_key;
 ///
 /// let mut packed = PackedScanLanes::new("cpu", &[8, 6]);
 /// packed.inject_stuck_at(3, 0, 2, true); // lane 3: chain 0, flop 2 stuck-at-1
-/// let outs = packed.test_clock_lanes(&[u64::MAX, 0]);
-/// assert_eq!(outs.len(), 2, "one output word per chain");
+/// let mut outs = [0u64; 2]; // one output word per chain
+/// packed.test_clock_lanes(&[u64::MAX, 0], &mut outs);
+/// assert_eq!(outs, [0, 0], "cleared flops shift out zeros");
 /// ```
 #[derive(Debug, Clone)]
 pub struct PackedScanLanes {
-    /// `chains[c][i]` — lane word of flip-flop `i` on chain `c`.
+    /// `chains[c]` — ring buffer of chain `c`'s lane words: flip-flop `i`
+    /// lives at index `(heads[c] + i) % chains[c].len()`.
     chains: Vec<Vec<u64>>,
+    /// Storage index of flip-flop 0, per chain.
+    heads: Vec<usize>,
+    /// Capture double buffer, the same shape as `chains`.
+    scratch: Vec<Vec<u64>>,
     key: u64,
     /// Merged stuck-at forces: `(chain, position, mask, value)` — lanes in
     /// `mask` are overwritten with the matching bits of `value` after every
@@ -65,8 +77,11 @@ impl PackedScanLanes {
             chain_lengths.iter().all(|&l| l > 0),
             "scan chains must be non-empty"
         );
+        let chains: Vec<Vec<u64>> = chain_lengths.iter().map(|&l| vec![0u64; l]).collect();
         Self {
-            chains: chain_lengths.iter().map(|&l| vec![0u64; l]).collect(),
+            heads: vec![0; chains.len()],
+            scratch: chains.clone(),
+            chains,
             key: name_key(name),
             forces: Vec::new(),
         }
@@ -112,22 +127,26 @@ impl PackedScanLanes {
     }
 
     /// One shift clock for all lanes: bit `l` of `inputs[c]` enters lane
-    /// `l` of chain `c`, and the returned word `c` carries every lane's
-    /// serial output bit.
+    /// `l` of chain `c`, and `outputs[c]` receives every lane's serial
+    /// output bit of chain `c`.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len()` differs from the chain count.
-    pub fn test_clock_lanes(&mut self, inputs: &[u64]) -> Vec<u64> {
+    /// Panics if `inputs.len()` or `outputs.len()` differs from the chain
+    /// count.
+    pub fn test_clock_lanes(&mut self, inputs: &[u64], outputs: &mut [u64]) {
         assert_eq!(inputs.len(), self.chains.len(), "scan-in width mismatch");
-        let mut outs = Vec::with_capacity(self.chains.len());
-        for (chain, &input) in self.chains.iter_mut().zip(inputs) {
-            outs.push(*chain.last().expect("non-empty chain"));
-            chain.rotate_right(1);
-            chain[0] = input;
+        assert_eq!(outputs.len(), self.chains.len(), "scan-out width mismatch");
+        let chains = self.chains.iter_mut().zip(&mut self.heads);
+        for ((chain, head), (&input, out)) in chains.zip(inputs.iter().zip(outputs)) {
+            // The last flop sits just before the head; stepping the head
+            // back onto it makes that slot flop 0 and moves every other
+            // flop one position down the chain.
+            *head = head.checked_sub(1).unwrap_or(chain.len() - 1);
+            *out = chain[*head];
+            chain[*head] = input;
         }
         self.apply_forces();
-        outs
     }
 
     /// One capture clock for all lanes: the word-wise lift of the scalar
@@ -135,22 +154,19 @@ impl PackedScanLanes {
     /// cyclic successor, the parallel flop of the next chain, and a
     /// broadcast key bit.
     pub fn capture_clock_lanes(&mut self) {
+        self.normalise();
         let n_chains = self.chains.len();
-        let mut next = Vec::with_capacity(n_chains);
-        for (c, chain) in self.chains.iter().enumerate() {
-            let len = chain.len();
-            let neighbour = &self.chains[(c + 1) % n_chains];
-            let mut out = Vec::with_capacity(len);
-            for i in 0..len {
-                let own = chain[i];
-                let succ = chain[(i + 1) % len];
-                let cross = neighbour[i % neighbour.len()];
-                let key_bit = broadcast(self.key >> ((i + 7 * c) % 64) & 1 == 1);
-                out.push(own ^ succ ^ cross ^ key_bit);
+        for (c, (chain, out)) in self.chains.iter().zip(&mut self.scratch).enumerate() {
+            // Flop i's key bit is bit (i + 7c) % 64 of the core key.
+            let key = self.key.rotate_right((7 * c % 64) as u32);
+            let succs = chain.iter().cycle().skip(1);
+            let crosses = self.chains[(c + 1) % n_chains].iter().cycle();
+            let inputs = chain.iter().zip(succs).zip(crosses);
+            for (i, (word, ((own, succ), cross))) in out.iter_mut().zip(inputs).enumerate() {
+                *word = own ^ succ ^ cross ^ broadcast((key >> (i % 64)) & 1 == 1);
             }
-            next.push(out);
         }
-        self.chains = next;
+        std::mem::swap(&mut self.chains, &mut self.scratch);
         self.apply_forces();
     }
 
@@ -159,19 +175,39 @@ impl PackedScanLanes {
         for chain in &mut self.chains {
             chain.iter_mut().for_each(|w| *w = 0);
         }
+        self.heads.fill(0);
         self.apply_forces();
     }
 
     /// Lane word currently held by flop `position` of `chain` (for
     /// white-box tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the flop location is out of range.
     #[must_use]
     pub fn chain_word(&self, chain: usize, position: usize) -> u64 {
-        self.chains[chain][position]
+        let words = &self.chains[chain];
+        assert!(position < words.len(), "position out of range");
+        words[(self.heads[chain] + position) % words.len()]
+    }
+
+    /// Rotates every ring buffer back into flop order (head at index 0).
+    fn normalise(&mut self) {
+        for (chain, head) in self.chains.iter_mut().zip(&mut self.heads) {
+            chain.rotate_left(*head);
+            *head = 0;
+        }
     }
 
     fn apply_forces(&mut self) {
         for &(chain, position, mask, forced) in &self.forces {
-            let word = &mut self.chains[chain][position];
+            let words = &mut self.chains[chain];
+            let mut index = self.heads[chain] + position;
+            if index >= words.len() {
+                index -= words.len();
+            }
+            let word = &mut words[index];
             *word = (*word & !mask) | forced;
         }
     }
@@ -192,12 +228,55 @@ mod tests {
         x ^ (x >> 33)
     }
 
+    /// One shift clock on the packed core and on every scalar twin,
+    /// asserting each lane's serial outputs match.
+    fn shift_both(
+        packed: &mut PackedScanLanes,
+        scalars: &mut [ScanCore],
+        inputs: &[u64],
+        at: &str,
+    ) {
+        let mut packed_out = vec![0u64; inputs.len()];
+        packed.test_clock_lanes(inputs, &mut packed_out);
+        for (lane, scalar) in scalars.iter_mut().enumerate() {
+            let wpi: BitVec = inputs.iter().map(|w| (w >> lane) & 1 == 1).collect();
+            let wpo = scalar.test_clock(&wpi);
+            for (c, &word) in packed_out.iter().enumerate() {
+                assert_eq!(
+                    (word >> lane) & 1 == 1,
+                    wpo.get(c).unwrap(),
+                    "{at} lane {lane} chain {c}"
+                );
+            }
+        }
+    }
+
+    /// Asserts every flop of every lane matches its scalar twin, read
+    /// through [`PackedScanLanes::chain_word`].
+    fn assert_state(packed: &PackedScanLanes, scalars: &[ScanCore], lengths: &[usize], at: &str) {
+        for (lane, scalar) in scalars.iter().enumerate() {
+            for (c, &len) in lengths.iter().enumerate() {
+                for i in 0..len {
+                    assert_eq!(
+                        (packed.chain_word(c, i) >> lane) & 1 == 1,
+                        scalar.chain(c).get(i).unwrap(),
+                        "state {at} lane {lane} chain {c} flop {i}"
+                    );
+                }
+            }
+        }
+    }
+
     /// Drives a packed core and 64 scalar twins through the same mixed
     /// shift/capture/reset sequence and asserts every lane stays
-    /// bit-identical to its scalar twin, faults included.
+    /// bit-identical to its scalar twin, faults included. Each round ends
+    /// with a shift run over twice the longest chain, so every chain's head
+    /// index wraps at least twice between captures, with state reads
+    /// mid-run.
     #[test]
     fn every_lane_matches_its_scalar_twin() {
         let lengths = [5usize, 70, 64];
+        let longest = *lengths.iter().max().unwrap();
         let mut packed = PackedScanLanes::new("cpu", &lengths);
         let mut scalars: Vec<ScanCore> = (0..64)
             .map(|_| ScanCore::new("cpu", lengths.to_vec()))
@@ -218,46 +297,44 @@ mod tests {
         }
 
         let mut stamp = 0u64;
+        let mut next_inputs = || -> Vec<u64> {
+            (0..lengths.len())
+                .map(|_| {
+                    stamp += 1;
+                    mix(stamp)
+                })
+                .collect()
+        };
         for round in 0..3 {
             for cycle in 0..80 {
-                let inputs: Vec<u64> = (0..lengths.len())
-                    .map(|_| {
-                        stamp += 1;
-                        mix(stamp)
-                    })
-                    .collect();
-                let packed_out = packed.test_clock_lanes(&inputs);
-                for (lane, scalar) in scalars.iter_mut().enumerate() {
-                    let wpi: BitVec = inputs.iter().map(|w| (w >> lane) & 1 == 1).collect();
-                    let wpo = scalar.test_clock(&wpi);
-                    for (c, &word) in packed_out.iter().enumerate() {
-                        assert_eq!(
-                            (word >> lane) & 1 == 1,
-                            wpo.get(c).unwrap(),
-                            "round {round} cycle {cycle} lane {lane} chain {c}"
-                        );
-                    }
-                }
+                let at = format!("round {round} cycle {cycle}");
+                shift_both(&mut packed, &mut scalars, &next_inputs(), &at);
                 if cycle % 9 == 8 {
                     packed.capture_clock_lanes();
                     scalars.iter_mut().for_each(TestableCore::capture_clock);
                 }
             }
-            for (lane, scalar) in scalars.iter().enumerate() {
-                for (c, &len) in lengths.iter().enumerate() {
-                    for i in 0..len {
-                        assert_eq!(
-                            (packed.chain_word(c, i) >> lane) & 1 == 1,
-                            scalar.chain(c).get(i).unwrap(),
-                            "state round {round} lane {lane} chain {c} flop {i}"
-                        );
-                    }
+            assert_state(&packed, &scalars, &lengths, &format!("round {round}"));
+            for cycle in 0..2 * longest + 3 {
+                let at = format!("round {round} long run cycle {cycle}");
+                shift_both(&mut packed, &mut scalars, &next_inputs(), &at);
+                if cycle % 37 == 0 {
+                    assert_state(&packed, &scalars, &lengths, &at);
                 }
             }
+            packed.capture_clock_lanes();
+            scalars.iter_mut().for_each(TestableCore::capture_clock);
+            assert_state(
+                &packed,
+                &scalars,
+                &lengths,
+                &format!("round {round} capture"),
+            );
             packed.reset_lanes();
             scalars
                 .iter_mut()
                 .for_each(casbus_p1500::TestableCore::reset);
+            assert_state(&packed, &scalars, &lengths, &format!("round {round} reset"));
         }
     }
 
@@ -266,7 +343,7 @@ mod tests {
         let mut packed = PackedScanLanes::new("u", &[3]);
         packed.inject_stuck_at(5, 0, 1, true);
         assert_eq!(packed.chain_word(0, 1), 1 << 5, "applied at injection");
-        packed.test_clock_lanes(&[0]);
+        packed.test_clock_lanes(&[0], &mut [0]);
         assert_eq!(packed.chain_word(0, 1) & (1 << 5), 1 << 5, "after shift");
         packed.capture_clock_lanes();
         assert_eq!(packed.chain_word(0, 1) & (1 << 5), 1 << 5, "after capture");

@@ -11,7 +11,7 @@
 //! * [`transpose64`] — in-place 64×64 bit-matrix transpose, turning
 //!   time-major slot words into lane-major streams,
 //! * [`LaneStreams`] — an accumulator that collects one word per port per
-//!   observation slot and hands back any single lane's streams as the exact
+//!   observation slot and hands back every lane's streams as the exact
 //!   per-port [`BitVec`]s a scalar run would have recorded.
 //!
 //! The extraction path is what keeps packed signatures bit-identical to the
@@ -40,18 +40,26 @@ pub fn broadcast(bit: bool) -> u64 {
 ///
 /// Self-inverse — transposing twice restores the input.
 pub fn transpose64(a: &mut [u64; 64]) {
-    let mut j: usize = 32;
-    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
-    while j != 0 {
-        let mut k: usize = 0;
-        while k < 64 {
-            let t = ((a[k] >> j) ^ a[k | j]) & m;
-            a[k | j] ^= t;
-            a[k] ^= t << j;
-            k = (k + j + 1) & !j;
+    swap_blocks::<32>(a, 0x0000_0000_FFFF_FFFF);
+    swap_blocks::<16>(a, 0x0000_FFFF_0000_FFFF);
+    swap_blocks::<8>(a, 0x00FF_00FF_00FF_00FF);
+    swap_blocks::<4>(a, 0x0F0F_0F0F_0F0F_0F0F);
+    swap_blocks::<2>(a, 0x3333_3333_3333_3333);
+    swap_blocks::<1>(a, 0x5555_5555_5555_5555);
+}
+
+/// One transpose stage: within every `2J × 2J` tile, swaps the upper-right
+/// and lower-left `J × J` blocks. `mask` selects the low `J` bits of each
+/// `2J`-bit group. `J` is a constant so every index is known at compile
+/// time.
+#[inline(always)]
+fn swap_blocks<const J: usize>(a: &mut [u64; 64], mask: u64) {
+    for base in (0..64).step_by(2 * J) {
+        for k in base..base + J {
+            let t = ((a[k] >> J) ^ a[k + J]) & mask;
+            a[k + J] ^= t;
+            a[k] ^= t << J;
         }
-        j >>= 1;
-        m ^= m << j;
     }
 }
 
@@ -59,10 +67,10 @@ pub fn transpose64(a: &mut [u64; 64]) {
 ///
 /// A packed run pushes one slot per observed cycle: `words[port]` carries
 /// the 64 lanes' response bits for that port at that cycle. At session end,
-/// [`lane_streams`](Self::lane_streams) transposes the accumulated slots
-/// into the per-port serial streams of any single lane — exactly the
-/// `Vec<BitVec>` the scalar engine's observation window would have built
-/// for that device.
+/// [`extract_lanes`](Self::extract_lanes) transposes the accumulated slots
+/// into every lane's per-port serial streams — exactly the `Vec<BitVec>`
+/// the scalar engine's observation window would have built for each
+/// device.
 ///
 /// # Examples
 ///
@@ -73,37 +81,47 @@ pub fn transpose64(a: &mut [u64; 64]) {
 /// streams.push(&[broadcast(true), 0b10]); // port 0: all lanes 1; port 1: lane 1 only
 /// streams.push(&[0, 0]);
 /// assert_eq!(streams.slots(), 2);
-/// let lane1 = streams.lane_streams(1);
-/// assert_eq!(lane1[0].to_string(), "10"); // LSB-first display: t0=1, t1=0
-/// assert_eq!(lane1[1].to_string(), "10");
-/// let lane0 = streams.lane_streams(0);
-/// assert_eq!(lane0[1].to_string(), "00");
+/// let lanes = streams.extract_lanes(2);
+/// assert_eq!(lanes[1][0].to_string(), "10"); // LSB-first display: t0=1, t1=0
+/// assert_eq!(lanes[1][1].to_string(), "10");
+/// assert_eq!(lanes[0][1].to_string(), "00");
 /// ```
 #[derive(Debug, Clone)]
 pub struct LaneStreams {
-    /// `slots[port]` — one word per observation slot, time-major.
-    slots: Vec<Vec<u64>>,
+    ports: usize,
+    slots: usize,
+    /// Slot-major lane words: `words[slot * ports + port]`.
+    words: Vec<u64>,
 }
 
 impl LaneStreams {
     /// An empty accumulator over `ports` parallel ports.
     #[must_use]
     pub fn new(ports: usize) -> Self {
+        Self::with_capacity(ports, 0)
+    }
+
+    /// An empty accumulator over `ports` parallel ports with room for
+    /// `slots` observation slots before it reallocates.
+    #[must_use]
+    pub fn with_capacity(ports: usize, slots: usize) -> Self {
         Self {
-            slots: vec![Vec::new(); ports],
+            ports,
+            slots: 0,
+            words: Vec::with_capacity(ports * slots),
         }
     }
 
     /// Number of ports per slot.
     #[must_use]
     pub fn ports(&self) -> usize {
-        self.slots.len()
+        self.ports
     }
 
     /// Observation slots accumulated so far.
     #[must_use]
     pub fn slots(&self) -> usize {
-        self.slots.first().map_or(0, Vec::len)
+        self.slots
     }
 
     /// Appends one observation slot: `words[port]` is the lane word the
@@ -113,42 +131,57 @@ impl LaneStreams {
     ///
     /// If `words.len()` differs from the port count.
     pub fn push(&mut self, words: &[u64]) {
-        assert_eq!(words.len(), self.slots.len(), "one word per port");
-        for (port, &word) in self.slots.iter_mut().zip(words) {
-            port.push(word);
-        }
+        assert_eq!(words.len(), self.ports, "one word per port");
+        self.words.extend_from_slice(words);
+        self.slots += 1;
     }
 
     /// Appends one all-zero observation slot (capture cycles record a zero
     /// placeholder in the scalar window).
     pub fn push_zeros(&mut self) {
-        for port in &mut self.slots {
-            port.push(0);
-        }
+        self.words.resize(self.words.len() + self.ports, 0);
+        self.slots += 1;
     }
 
-    /// Extracts lane `lane`'s per-port serial streams, bit `t` of each
-    /// stream being that lane's response at observation slot `t`.
+    /// Extracts the per-port serial streams of lanes `0..lanes`:
+    /// `extract_lanes(n)[lane][port]` bit `t` is that lane's response at
+    /// observation slot `t`.
+    ///
+    /// Each 64-slot block of each port is transposed once and every
+    /// requested lane reads its word from the result, so a full 64-lane
+    /// extraction costs one transpose per block, not one per block per lane.
     ///
     /// # Panics
     ///
-    /// If `lane >= 64`.
+    /// If `lanes > 64`.
     #[must_use]
-    pub fn lane_streams(&self, lane: usize) -> Vec<BitVec> {
-        assert!(lane < LANES, "lane {lane} out of range");
-        self.slots
-            .iter()
-            .map(|port| {
-                let mut stream = BitVec::with_capacity(port.len());
-                for chunk in port.chunks(LANES) {
-                    let mut block = [0u64; LANES];
-                    block[..chunk.len()].copy_from_slice(chunk);
-                    transpose64(&mut block);
-                    stream.push_word(block[lane], chunk.len());
-                }
-                stream
+    pub fn extract_lanes(&self, lanes: usize) -> Vec<Vec<BitVec>> {
+        assert!(lanes <= LANES, "{lanes} lanes exceed the word's {LANES}");
+        let mut out: Vec<Vec<BitVec>> = (0..lanes)
+            .map(|_| {
+                (0..self.ports)
+                    .map(|_| BitVec::with_capacity(self.slots))
+                    .collect()
             })
-            .collect()
+            .collect();
+        let mut block = [0u64; LANES];
+        for first in (0..self.slots).step_by(LANES) {
+            let rows = LANES.min(self.slots - first);
+            for port in 0..self.ports {
+                let column = self.words[first * self.ports + port..]
+                    .iter()
+                    .step_by(self.ports);
+                for (row, &word) in block.iter_mut().zip(column.take(rows)) {
+                    *row = word;
+                }
+                block[rows..].fill(0);
+                transpose64(&mut block);
+                for (streams, &word) in out.iter_mut().zip(&block) {
+                    streams[port].push_word(word, rows);
+                }
+            }
+        }
+        out
     }
 }
 
@@ -347,8 +380,9 @@ mod tests {
         assert_eq!(streams.slots(), slots);
         assert_eq!(streams.ports(), ports);
 
+        let lanes = streams.extract_lanes(LANES);
         for lane in [0usize, 1, 31, 63] {
-            let got = streams.lane_streams(lane);
+            let got = &lanes[lane];
             assert_eq!(got.len(), ports);
             for (port, stream) in got.iter().enumerate() {
                 assert_eq!(stream.len(), slots);
@@ -450,8 +484,47 @@ mod tests {
         streams.push(&[u64::MAX, u64::MAX]);
         streams.push_zeros();
         streams.push(&[u64::MAX, 0]);
-        let lane = streams.lane_streams(9);
-        assert_eq!(lane[0].to_string(), "101");
-        assert_eq!(lane[1].to_string(), "100");
+        let lanes = streams.extract_lanes(10);
+        assert_eq!(lanes[9][0].to_string(), "101");
+        assert_eq!(lanes[9][1].to_string(), "100");
+    }
+
+    #[test]
+    fn extract_lanes_matches_pushed_words_bit_by_bit() {
+        // Slot counts straddle the 64-slot block boundary (empty, partial,
+        // exact, one over, two blocks plus two); lane counts cover one lane,
+        // a ragged group, and a full word.
+        let ports = 2;
+        for slots in [0usize, 1, 63, 64, 65, 130] {
+            let mut streams = LaneStreams::new(ports);
+            let word_at = |slot: usize, port: usize| mix((slot * ports + port) as u64 ^ 0x5EED);
+            for slot in 0..slots {
+                let words: Vec<u64> = (0..ports).map(|p| word_at(slot, p)).collect();
+                streams.push(&words);
+            }
+            for n_lanes in [1usize, 17, 64] {
+                let lanes = streams.extract_lanes(n_lanes);
+                assert_eq!(lanes.len(), n_lanes, "slots {slots}");
+                for (lane, per_port) in lanes.iter().enumerate() {
+                    assert_eq!(per_port.len(), ports);
+                    for (port, stream) in per_port.iter().enumerate() {
+                        assert_eq!(stream.len(), slots, "slots {slots} lane {lane}");
+                        for slot in 0..slots {
+                            assert_eq!(
+                                stream.get(slot),
+                                Some((word_at(slot, port) >> lane) & 1 == 1),
+                                "slots {slots} lanes {n_lanes} lane {lane} port {port} slot {slot}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed")]
+    fn extract_lanes_rejects_more_than_a_word() {
+        let _ = LaneStreams::new(1).extract_lanes(65);
     }
 }
