@@ -355,7 +355,7 @@ fn main() {
     bm_runner = bm_runner.with_packed(true);
     let bm_metrics = MetricsRegistry::new();
     let bm_packed = bm_runner
-        .run_with_metrics(&bm_spec, bm_fleet, &bm_metrics, |_| {})
+        .run_with_metrics(&bm_spec, bm_fleet, &bm_metrics, None, |_| {})
         .expect("packed fleet run");
     assert_eq!(
         bm_packed.devices, bm_scalar.devices,

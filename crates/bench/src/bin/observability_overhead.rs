@@ -28,7 +28,7 @@ use casbus_controller::{schedule, TestProgram};
 use casbus_netlist::crosspoint::synthesize_crosspoint_cas;
 use casbus_netlist::fault::enumerate_faults;
 use casbus_netlist::PackedEngine;
-use casbus_obs::{MemorySink, VcdWriter};
+use casbus_obs::{MemorySink, MetricsRegistry, VcdWriter};
 use casbus_sim::{report, FleetMonitor, FleetRunner, MonitorConfig, SocSimulator, VariationSpec};
 use casbus_soc::catalog;
 use casbus_tpg::BitVec;
@@ -264,7 +264,13 @@ fn fleet_rows(rows: &mut Vec<Row>) {
             ..deep_channel
         });
         snap_runner
-            .run_monitored(&spec, fleet_size, &monitor)
+            .run_with_metrics(
+                &spec,
+                fleet_size,
+                &MetricsRegistry::new(),
+                Some(&monitor),
+                |_| {},
+            )
             .expect("runs");
         best[1] = best[1].min(t0.elapsed());
         snapshots = rx.try_iter().collect::<Vec<_>>();
@@ -274,7 +280,13 @@ fn fleet_rows(rows: &mut Vec<Row>) {
         let t0 = Instant::now();
         let (monitor, _rx) = FleetMonitor::with_config(deep_channel);
         let fleet = rec_runner
-            .run_monitored(&spec, fleet_size, &monitor)
+            .run_with_metrics(
+                &spec,
+                fleet_size,
+                &MetricsRegistry::new(),
+                Some(&monitor),
+                |_| {},
+            )
             .expect("runs");
         best[2] = best[2].min(t0.elapsed());
         let recorded = monitor.dumps();

@@ -301,20 +301,19 @@ impl PackedDeviceEngine {
     ///
     /// # Errors
     ///
-    /// Propagates scalar-fallback simulation errors (packed lanes and
-    /// baseline clones are infallible).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cohort exceeds [`COHORT_LANES`] members.
+    /// [`SimError::CohortTooLarge`] if the cohort exceeds [`COHORT_LANES`]
+    /// members; otherwise propagates scalar-fallback simulation errors
+    /// (packed lanes and baseline clones are infallible).
     pub fn run_cohort(
         &self,
         members: Vec<(u64, Option<InjectedFault>)>,
     ) -> Result<Vec<DeviceReport>, SimError> {
-        assert!(
-            members.len() <= COHORT_LANES,
-            "cohort exceeds lane capacity"
-        );
+        if members.len() > COHORT_LANES {
+            return Err(SimError::CohortTooLarge {
+                members: members.len(),
+                lanes: COHORT_LANES,
+            });
+        }
         let mut reports: Vec<Option<SocTestReport>> = vec![None; members.len()];
         // Group packable defective members by defective core, preserving
         // member order so lane assignment is deterministic.
@@ -335,6 +334,7 @@ impl PackedDeviceEngine {
                         &self.cache,
                         *device_id,
                         Some(f.clone()),
+                        None,
                     )?;
                     reports[idx] = Some(scalar.report);
                 }

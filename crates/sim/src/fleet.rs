@@ -5,9 +5,15 @@
 //! simulation: the schedule is compiled into a [`CompiledProgram`] and its
 //! wave shapes route-compiled into a shared [`RouteTableCache`] exactly
 //! once, then any number of independent simulated devices execute the same
-//! immutable plan on a persistent [`WorkerPool`].
+//! immutable plan on a persistent worker pool.
 //! Adding a device costs one queue push, never a schedule search, a route
 //! compilation, or a thread spawn.
+//!
+//! A fleet is a one-lot [`TestFloor`]: the runner owns a floor and hands
+//! each run to it as a single lot, so fleets and floors share one dispatch
+//! loop, one progress tracker ([`LotTracker`](crate::LotTracker)), and one
+//! observer thread. A [`FleetMonitor`] attached to a run rides that same
+//! observer.
 //!
 //! Devices are not clones: a [`VariationSpec`] decides, deterministically
 //! per device id, whether a die carries a manufacturing defect — a stuck-at
@@ -39,11 +45,11 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use casbus::RouteTableCache;
-use casbus_controller::search::{search_schedule_with, SearchBudget};
+use casbus_controller::search::SearchBudget;
 use casbus_controller::{CompiledProgram, Schedule};
 use casbus_obs::{MetricsRegistry, TraceEvent, TraceSink};
 use casbus_p1500::{TestableCore, Wrapper};
@@ -54,10 +60,10 @@ use rand::{RngExt, SeedableRng};
 
 use crate::engine::CompiledEngine;
 use crate::engine_packed::{PackedDeviceEngine, COHORT_LANES};
-use crate::monitor::{DeviceDump, FleetMonitor, MonitorShared};
-use crate::pool::WorkerPool;
-use crate::report::{run_program_reference, SocTestReport};
-use crate::search::CompiledValidator;
+use crate::floor::{LotRun, LotSpec, TestFloor};
+use crate::monitor::{FleetMonitor, MonitorShared};
+use crate::report::SocTestReport;
+use crate::search::searched_plan;
 use crate::simulator::{SimError, SocSimulator};
 
 /// Deterministic per-device manufacturing variation.
@@ -399,11 +405,12 @@ impl std::fmt::Display for FleetReport {
 /// Batch test server: one compiled plan, N simulated devices.
 ///
 /// Construction pays every one-time cost — TAM build, program compilation,
-/// optionally a full schedule search, worker-thread spawn — and `run*`
-/// calls amortise them over the whole fleet. Devices execute on the
-/// persistent pool; each device's engine shares the runner's
-/// [`RouteTableCache`], so a wave shape is route-compiled once for the
-/// entire fleet regardless of its size.
+/// optionally a full schedule search, worker-thread spawn — and runs
+/// amortise them over the whole fleet. A runner is a one-lot
+/// [`TestFloor`]: each run hands the plan to the floor as one lot and is
+/// served by the floor's dispatch loop on its persistent pool. Every
+/// device's engine shares the floor's [`RouteTableCache`], so a wave shape
+/// is route-compiled once for the entire fleet regardless of its size.
 ///
 /// # Examples
 ///
@@ -421,8 +428,7 @@ impl std::fmt::Display for FleetReport {
 pub struct FleetRunner {
     soc: Arc<SocDescription>,
     plan: Arc<CompiledProgram>,
-    cache: Arc<RouteTableCache>,
-    pool: WorkerPool,
+    floor: TestFloor,
     trace: Arc<dyn TraceSink>,
     /// Packed device-parallel mode: unmonitored runs execute cohorts of up
     /// to 64 devices per word through a shared [`PackedDeviceEngine`].
@@ -437,7 +443,7 @@ impl std::fmt::Debug for FleetRunner {
             .field("soc", &self.soc.name())
             .field("bus_width", &self.plan.bus_width())
             .field("steps", &self.plan.program().len())
-            .field("threads", &self.pool.threads())
+            .field("threads", &self.floor.threads())
             .finish_non_exhaustive()
     }
 }
@@ -451,24 +457,16 @@ impl FleetRunner {
     /// Propagates TAM/program compilation errors.
     pub fn new(soc: &SocDescription, n: usize, schedule: Schedule) -> Result<Self, SimError> {
         let plan = CompiledProgram::compile(soc, n, schedule)?;
-        Ok(Self {
-            soc: Arc::new(soc.clone()),
-            plan: Arc::new(plan),
-            cache: Arc::new(RouteTableCache::new()),
-            pool: WorkerPool::new(0),
-            trace: casbus_obs::trace::null_sink(),
-            packed: true,
-            packed_engine: Mutex::new(None),
-        })
+        Ok(Self::serving(soc, plan, TestFloor::new()))
     }
 
     /// A runner whose schedule comes from the annealed makespan search
-    /// ([`search_schedule_with`] with execution-backed validation), gated
-    /// bit-exactly against the reference interpreter before serving —
-    /// exactly the plan [`run_program_searched`](crate::run_program_searched)
-    /// would execute, compiled once for the whole fleet. The validator
-    /// shares this runner's route cache, so shapes compiled during the
-    /// search are already warm when devices arrive.
+    /// (execution-backed validation), gated bit-exactly against the
+    /// reference interpreter before serving — exactly the plan
+    /// [`run_program_searched`](crate::run_program_searched) would execute,
+    /// compiled once for the whole fleet. The search shares this runner's
+    /// route cache, so shapes compiled during the search are already warm
+    /// when devices arrive.
     ///
     /// # Errors
     ///
@@ -480,51 +478,48 @@ impl FleetRunner {
         n: usize,
         budget: SearchBudget,
     ) -> Result<Self, SimError> {
-        let threads = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let cache = Arc::new(RouteTableCache::new());
-        let validator = CompiledValidator::new(threads).with_cache(Arc::clone(&cache));
-        let schedule = search_schedule_with(soc, n, budget, &validator, &MetricsRegistry::new())?;
-        let plan = CompiledProgram::compile(soc, n, schedule)?;
+        let floor = TestFloor::new();
+        let (plan, _) = searched_plan(
+            soc,
+            n,
+            budget,
+            Arc::clone(floor.cache()),
+            &MetricsRegistry::new(),
+        )?;
+        Ok(Self::serving(soc, plan, floor))
+    }
 
-        // The same bit-exact gate run_program_searched applies: refuse to
-        // serve a plan whose compiled execution differs from the reference
-        // interpreter on a healthy device.
-        let mut sim = SocSimulator::new(soc, n)?;
-        let engine = CompiledEngine::new().with_cache(Arc::clone(&cache));
-        let compiled = engine.run(&mut sim, plan.program())?;
-        let mut reference_sim = SocSimulator::new(soc, n)?;
-        let reference = run_program_reference(&mut reference_sim, plan.program())?;
-        if compiled != reference {
-            return Err(SimError::SearchDiverged);
-        }
-
-        Ok(Self {
+    fn serving(soc: &SocDescription, plan: CompiledProgram, floor: TestFloor) -> Self {
+        Self {
             soc: Arc::new(soc.clone()),
             plan: Arc::new(plan),
-            cache,
-            pool: WorkerPool::new(0),
+            floor,
             trace: casbus_obs::trace::null_sink(),
             packed: true,
             packed_engine: Mutex::new(None),
-        })
+        }
     }
 
     /// Replaces the worker pool with one of `threads` workers (`0` means
     /// one per available hardware thread).
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.pool = WorkerPool::new(threads);
-        self
+    pub fn with_threads(self, threads: usize) -> Self {
+        Self {
+            floor: self.floor.with_threads(threads),
+            ..self
+        }
     }
 
     /// Bounds the shared route cache to `capacity` tables (LRU eviction).
     /// Replaces the cache, dropping anything already compiled into it
     /// (along with any packed engine compiled against the old cache).
     #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = Arc::new(RouteTableCache::with_capacity(capacity));
-        self.packed_engine = Mutex::new(None);
-        self
+    pub fn with_cache_capacity(self, capacity: usize) -> Self {
+        Self {
+            floor: self.floor.with_cache_capacity(capacity),
+            packed_engine: Mutex::new(None),
+            ..self
+        }
     }
 
     /// Enables or disables packed device-parallel execution (on by
@@ -566,12 +561,12 @@ impl FleetRunner {
 
     /// The route cache shared by the fleet.
     pub fn cache(&self) -> &Arc<RouteTableCache> {
-        &self.cache
+        self.floor.cache()
     }
 
     /// Worker threads serving the fleet.
     pub fn threads(&self) -> usize {
-        self.pool.threads()
+        self.floor.threads()
     }
 
     /// Whether packed device-parallel execution is enabled.
@@ -591,7 +586,7 @@ impl FleetRunner {
         let engine = Arc::new(PackedDeviceEngine::compile(
             &self.soc,
             &self.plan,
-            &self.cache,
+            self.floor.cache(),
         )?);
         *slot = Some(Arc::clone(&engine));
         Ok(engine)
@@ -604,86 +599,26 @@ impl FleetRunner {
     /// Propagates the first device-level simulation error (healthy plans
     /// do not produce any).
     pub fn run(&self, spec: &VariationSpec, fleet_size: u64) -> Result<FleetReport, SimError> {
-        self.run_with(spec, fleet_size, |_| {})
+        self.run_with_metrics(spec, fleet_size, &MetricsRegistry::new(), None, |_| {})
     }
 
-    /// [`run`](Self::run), invoking `on_report` for every device report as
-    /// it streams in — **completion order**, not device order; use the
-    /// returned [`FleetReport::devices`] for the sorted view.
+    /// [`run`](Self::run), publishing `fleet.*` metrics into `metrics` —
+    /// counts, cycle totals, route-cache counters and a per-device cycle
+    /// histogram, none of them wall-clock, so bit-identical across thread
+    /// counts — and invoking `on_report` for every device report in
+    /// **completion order** ([`FleetReport::devices`] is sorted).
     ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_with(
-        &self,
-        spec: &VariationSpec,
-        fleet_size: u64,
-        on_report: impl FnMut(&DeviceReport),
-    ) -> Result<FleetReport, SimError> {
-        self.run_with_metrics(spec, fleet_size, &MetricsRegistry::new(), on_report)
-    }
-
-    /// [`run_with`](Self::run_with), also publishing `fleet.*` metrics:
-    /// device/pass/fail/defect counts, cycle and wire-cycle totals, the
-    /// shared route cache's hit/miss/eviction counters, and a per-device
-    /// cycle histogram (observed in device order). Metrics never include
-    /// wall-clock quantities, so they are bit-identical across thread
-    /// counts.
+    /// An attached [`FleetMonitor`] puts the run on the scalar path and
+    /// streams [`FleetSnapshot`](crate::FleetSnapshot)s while it executes;
+    /// its `obs.*` telemetry is merged into `metrics` afterwards, and every
+    /// defective or failing device leaves a dump in
+    /// [`FleetMonitor::dumps`]. Reports and non-`obs.*` metrics equal an
+    /// unmonitored scalar run's (pinned by `tests/fleet_differential.rs`).
     ///
     /// # Errors
     ///
     /// Same as [`run`](Self::run).
     pub fn run_with_metrics(
-        &self,
-        spec: &VariationSpec,
-        fleet_size: u64,
-        metrics: &MetricsRegistry,
-        on_report: impl FnMut(&DeviceReport),
-    ) -> Result<FleetReport, SimError> {
-        self.run_inner(spec, fleet_size, metrics, None, on_report)
-    }
-
-    /// [`run`](Self::run) with a live [`FleetMonitor`] attached: the
-    /// monitor's sampler streams [`FleetSnapshot`](crate::FleetSnapshot)s
-    /// over its bounded channel while devices execute, per-device phase
-    /// timers feed the monitor's `obs.*` telemetry histograms, and any
-    /// defective or failing device dumps its flight-recorder ring into
-    /// [`FleetMonitor::dumps`]. The report — and every non-`obs.*` metric —
-    /// is bit-identical to an unmonitored run (pinned by
-    /// `tests/fleet_differential.rs`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_monitored(
-        &self,
-        spec: &VariationSpec,
-        fleet_size: u64,
-        monitor: &FleetMonitor,
-    ) -> Result<FleetReport, SimError> {
-        self.run_monitored_with_metrics(spec, fleet_size, &MetricsRegistry::new(), monitor, |_| {})
-    }
-
-    /// [`run_monitored`](Self::run_monitored) that also publishes the
-    /// standard `fleet.*` metrics plus the monitor's `obs.*` telemetry
-    /// (merged in after the run) into `metrics`, streaming reports through
-    /// `on_report` in completion order.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_monitored_with_metrics(
-        &self,
-        spec: &VariationSpec,
-        fleet_size: u64,
-        metrics: &MetricsRegistry,
-        monitor: &FleetMonitor,
-        on_report: impl FnMut(&DeviceReport),
-    ) -> Result<FleetReport, SimError> {
-        self.run_inner(spec, fleet_size, metrics, Some(monitor), on_report)
-    }
-
-    fn run_inner(
         &self,
         spec: &VariationSpec,
         fleet_size: u64,
@@ -695,110 +630,30 @@ impl FleetRunner {
         // Packed mode serves unmonitored runs only: a monitored run needs
         // per-device phase timers and flight recorders, which are
         // inherently scalar. The report is bit-identical either way.
-        let packed_engine: Option<Arc<PackedDeviceEngine>> =
-            if self.packed && monitor.is_none() && fleet_size > 0 {
-                Some(self.packed_engine()?)
-            } else {
-                None
-            };
-        if let Some(monitor) = monitor {
-            monitor.shared().begin_run(fleet_size);
-            self.pool.set_metrics(Some(Arc::clone(monitor.telemetry())));
-        }
-        // Bounded: a lagging consumer backpressures the workers instead of
-        // buffering the whole fleet's reports. Reports travel in batches —
-        // one per cohort (packed) or per device (scalar) — so a 64-device
-        // cohort costs one channel rendezvous, not 64.
-        let (tx, rx) = mpsc::sync_channel::<Result<Vec<DeviceReport>, SimError>>(
-            self.pool.threads().saturating_mul(2).max(1),
-        );
-        let collected: Result<Vec<DeviceReport>, SimError> = std::thread::scope(|scope| {
-            if let Some(monitor) = monitor {
-                let shared = Arc::clone(monitor.shared());
-                let cache = Arc::clone(&self.cache);
-                scope.spawn(move || shared.sampler_loop(&cache));
-            }
-            if let Some(engine) = &packed_engine {
-                // Cohort dispatch: one pool job per ≤64 devices. Faults are
-                // stamped on the dispatch thread, so lane assignment is a
-                // pure function of device id regardless of worker timing.
-                for members in plan_cohorts(spec, &self.soc, fleet_size) {
-                    let engine = Arc::clone(engine);
-                    let tx = tx.clone();
-                    self.pool.execute(move || {
-                        // The receiver hangs up after a first error:
-                        // discard late batches instead of panicking.
-                        let _ = tx.send(engine.run_cohort(members));
-                    });
-                }
-            } else {
-                for device_id in 0..fleet_size {
-                    let soc = Arc::clone(&self.soc);
-                    let plan = Arc::clone(&self.plan);
-                    let cache = Arc::clone(&self.cache);
-                    let fault = spec.fault_for(&self.soc, device_id);
-                    let tx = tx.clone();
-                    let shared = monitor.map(|m| Arc::clone(m.shared()));
-                    self.pool.execute(move || {
-                        let outcome = match &shared {
-                            Some(shared) => {
-                                test_device_monitored(&soc, &plan, &cache, device_id, fault, shared)
-                            }
-                            None => test_device(&soc, &plan, &cache, device_id, fault),
-                        };
-                        // The receiver hangs up after a first error: discard
-                        // late results instead of panicking the worker.
-                        let _ = tx.send(outcome.map(|report| vec![report]));
-                    });
-                }
-            }
-            drop(tx);
+        let engine = if self.packed && monitor.is_none() && fleet_size > 0 {
+            Some(self.packed_engine()?)
+        } else {
+            None
+        };
+        let lot = LotRun {
+            spec: LotSpec {
+                name: "fleet".to_owned(),
+                soc: Arc::clone(&self.soc),
+                plan: Arc::clone(&self.plan),
+                devices: fleet_size,
+                variation: *spec,
+                priority: 1,
+                packed: engine.is_some(),
+            },
+            engine,
+        };
+        let floor =
+            self.floor
+                .serve(started, vec![lot], metrics, false, monitor, |_, report| {
+                    on_report(report)
+                })?;
+        let fleet = floor.lots.into_iter().next().expect("one lot").fleet;
 
-            let mut devices: Vec<DeviceReport> = Vec::with_capacity(fleet_size as usize);
-            let mut error = None;
-            for outcome in rx {
-                match outcome {
-                    Ok(batch) => {
-                        for report in batch {
-                            on_report(&report);
-                            devices.push(report);
-                        }
-                    }
-                    Err(err) => {
-                        error = Some(err);
-                        break;
-                    }
-                }
-            }
-            // Always release the sampler before the scope joins it, even on
-            // the error path.
-            if let Some(monitor) = monitor {
-                monitor.shared().finish_run();
-            }
-            match error {
-                Some(err) => Err(err),
-                None => Ok(devices),
-            }
-        });
-        if monitor.is_some() {
-            self.pool.set_metrics(None);
-        }
-        let mut devices = collected?;
-        let wall = started.elapsed();
-        devices.sort_by_key(|d| d.device_id);
-
-        let passed = devices.iter().filter(|d| d.passed()).count();
-        let total_cycles: u64 = devices.iter().map(|d| d.report.total_cycles).sum();
-        let wire_cycles: u64 = devices.iter().map(|d| d.report.bus_cycles).sum();
-
-        publish_fleet_metrics(
-            metrics,
-            fleet_size,
-            &devices,
-            self.pool.threads(),
-            &self.cache,
-            packed_engine.as_deref(),
-        );
         if let Some(monitor) = monitor {
             // Everything wall-clock lands under obs.* so differential runs
             // can compare monitored and unmonitored registries by filtering
@@ -813,7 +668,7 @@ impl FleetRunner {
             // Post-hoc, device-ordered, on a logical cycle timeline: the
             // trace describes the fleet, not the scheduler.
             let mut ts = 0u64;
-            for device in &devices {
+            for device in &fleet.devices {
                 self.trace.record(TraceEvent::span(
                     "fleet",
                     format!("device{}", device.device_id),
@@ -827,14 +682,7 @@ impl FleetRunner {
                 ts += device.report.total_cycles;
             }
         }
-
-        Ok(FleetReport {
-            devices,
-            passed,
-            total_cycles,
-            wire_cycles,
-            wall,
-        })
+        Ok(fleet)
     }
 }
 
@@ -1015,54 +863,34 @@ fn run_stamped(
 /// the shared route cache. Single-threaded per device — the fleet's
 /// parallelism lives across devices. Also the scalar fallback the packed
 /// path uses for defects its lane encoding cannot express.
+///
+/// Under a live `monitor`, phase timers feed the `obs.*` telemetry
+/// histograms, a per-device flight recorder captures coarse engine spans,
+/// and defective or failing devices dump their ring. The report itself is
+/// built the same way either way — the monitor only observes.
 pub(crate) fn test_device(
     soc: &Arc<SocDescription>,
     plan: &CompiledProgram,
     cache: &Arc<RouteTableCache>,
     device_id: u64,
     fault: Option<InjectedFault>,
+    monitor: Option<&MonitorShared>,
 ) -> Result<DeviceReport, SimError> {
-    let report = with_worker_slot(soc, plan, cache, |sim, engine| {
-        run_stamped(sim, engine, plan, fault.as_ref())
-    })?;
-    Ok(DeviceReport {
-        device_id,
-        fault,
-        report,
-    })
-}
-
-/// [`test_device`] under a live monitor: phase timers feed the `obs.*`
-/// telemetry histograms, a per-device flight recorder captures coarse
-/// engine spans, and defective or failing devices dump their ring. The
-/// report itself is built exactly as in [`test_device`] — the monitor only
-/// observes.
-fn test_device_monitored(
-    soc: &Arc<SocDescription>,
-    plan: &CompiledProgram,
-    cache: &Arc<RouteTableCache>,
-    device_id: u64,
-    fault: Option<InjectedFault>,
-    monitor: &MonitorShared,
-) -> Result<DeviceReport, SimError> {
-    monitor.device_started(device_id);
     let started = Instant::now();
-    let recorder = monitor.new_recorder();
+    let recorder = monitor.and_then(|monitor| monitor.device_started(device_id));
     let report = with_worker_slot(soc, plan, cache, |sim, engine| {
-        let mut engine = engine.clone();
-        if let Some(recorder) = &recorder {
-            engine = engine.with_recorder(Arc::clone(recorder));
-        }
-        monitor.telemetry().observe(
-            "obs.fleet.device.setup_us",
-            started.elapsed().as_micros() as u64,
-        );
+        let Some(monitor) = monitor else {
+            return run_stamped(sim, engine, plan, fault.as_ref());
+        };
+        let engine = match &recorder {
+            Some(recorder) => engine.clone().with_recorder(Arc::clone(recorder)),
+            None => engine.clone(),
+        };
+        let telemetry = monitor.telemetry();
+        telemetry.observe("obs.fleet.device.setup_us", micros(started));
         let run_started = Instant::now();
         let report = run_stamped(sim, &engine, plan, fault.as_ref())?;
-        monitor.telemetry().observe(
-            "obs.fleet.device.run_us",
-            run_started.elapsed().as_micros() as u64,
-        );
+        telemetry.observe("obs.fleet.device.run_us", micros(run_started));
         Ok(report)
     })?;
     let report = DeviceReport {
@@ -1070,20 +898,14 @@ fn test_device_monitored(
         fault,
         report,
     };
-    let passed = report.passed();
-    let defective = report.fault.is_some();
-    if defective || !passed {
-        if let Some(recorder) = recorder {
-            monitor.add_dump(DeviceDump {
-                device_id,
-                defective,
-                passed,
-                dump: recorder.dump(),
-            });
-        }
+    if let Some(monitor) = monitor {
+        monitor.device_finished(&report, recorder);
     }
-    monitor.device_finished(device_id, passed, defective, started.elapsed());
     Ok(report)
+}
+
+fn micros(since: Instant) -> u64 {
+    since.elapsed().as_micros() as u64
 }
 
 #[cfg(test)]
@@ -1176,7 +998,9 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let mut streamed = 0usize;
         let fleet = runner
-            .run_with_metrics(&VariationSpec::perfect(), 9, &metrics, |_| streamed += 1)
+            .run_with_metrics(&VariationSpec::perfect(), 9, &metrics, None, |_| {
+                streamed += 1
+            })
             .unwrap();
 
         assert_eq!(streamed, 9, "every report streams through the callback");

@@ -3,7 +3,7 @@
 //! A production test floor rarely serves one product at a time: several
 //! *lots* — each its own SoC, compiled test program, device count, defect
 //! profile, and priority — compete for the same bank of testers.
-//! [`TestFloor`] reproduces that economics on top of the fleet layer:
+//! [`TestFloor`] reproduces that economics:
 //!
 //! * every submitted [`LotSpec`] gets its own weighted lane on one shared
 //!   [`WorkerPool`] (weight = lot priority, served
@@ -20,6 +20,11 @@
 //! * the run returns a [`FloorReport`]: one [`LotReport`] per lot plus
 //!   merged metrics — lot metrics under `floor.lot.<name>.*`, floor-wide
 //!   aggregates under `floor.*`.
+//!
+//! One private dispatch loop does all of this, and it serves fleets too: a
+//! [`FleetRunner`](crate::FleetRunner) is a one-lot floor whose metrics are
+//! published unprefixed, and a [`FleetMonitor`] attached to a fleet run
+//! rides the same observer thread that ticks admission control here.
 //!
 //! # Determinism
 //!
@@ -69,7 +74,7 @@ use crate::admission::{
 use crate::engine_packed::{PackedDeviceEngine, COHORT_LANES};
 use crate::fleet::{plan_cohorts, publish_fleet_metrics, test_device};
 use crate::fleet::{DeviceReport, FleetReport, VariationSpec};
-use crate::monitor::{FleetSnapshot, LotTracker};
+use crate::monitor::{FleetMonitor, FleetSnapshot, LotTracker};
 use crate::pool::{LaneId, WorkerPool};
 use crate::simulator::SimError;
 
@@ -79,13 +84,13 @@ use crate::simulator::SimError;
 /// Lot names label per-lot metrics (`floor.lot.<name>.*`) and admission
 /// events; the lots of one run must have distinct names.
 pub struct LotSpec {
-    name: String,
-    soc: Arc<SocDescription>,
-    plan: Arc<CompiledProgram>,
-    devices: u64,
-    variation: VariationSpec,
-    priority: u64,
-    packed: bool,
+    pub(crate) name: String,
+    pub(crate) soc: Arc<SocDescription>,
+    pub(crate) plan: Arc<CompiledProgram>,
+    pub(crate) devices: u64,
+    pub(crate) variation: VariationSpec,
+    pub(crate) priority: u64,
+    pub(crate) packed: bool,
 }
 
 impl std::fmt::Debug for LotSpec {
@@ -294,12 +299,11 @@ impl std::fmt::Display for FloorReport {
     }
 }
 
-/// A lot prepared for execution: its lane, tracker, and packed engine.
-struct LotRun {
-    spec: LotSpec,
-    lane: LaneId,
-    tracker: LotTracker,
-    engine: Option<Arc<PackedDeviceEngine>>,
+/// A lot ready for the dispatch loop: its spec and, when it runs packed,
+/// its compiled cohort engine.
+pub(crate) struct LotRun {
+    pub(crate) spec: LotSpec,
+    pub(crate) engine: Option<Arc<PackedDeviceEngine>>,
 }
 
 /// Multi-tenant test server: many lots, one worker fleet, one cache
@@ -422,7 +426,7 @@ impl TestFloor {
         &self,
         lots: Vec<LotSpec>,
         metrics: &MetricsRegistry,
-        mut on_report: impl FnMut(usize, &DeviceReport),
+        on_report: impl FnMut(usize, &DeviceReport),
     ) -> Result<FloorReport, SimError> {
         let started = Instant::now();
         for (idx, spec) in lots.iter().enumerate() {
@@ -430,13 +434,10 @@ impl TestFloor {
                 return Err(SimError::DuplicateLot(spec.name.clone()));
             }
         }
-
-        // Prepare every lot up front: lane, tracker, packed engine. Engine
-        // compilation warms the shared cache exactly as a standalone
+        // Engine compilation warms the shared cache exactly as a standalone
         // runner's first device would.
-        let mut runs: Vec<LotRun> = Vec::with_capacity(lots.len());
+        let mut runs = Vec::with_capacity(lots.len());
         for spec in lots {
-            let lane = self.pool.lane(spec.priority);
             let engine = if spec.packed && spec.devices > 0 {
                 Some(Arc::new(PackedDeviceEngine::compile(
                     &spec.soc,
@@ -446,153 +447,12 @@ impl TestFloor {
             } else {
                 None
             };
-            let tracker = LotTracker::new(spec.devices, self.policy.window);
-            runs.push(LotRun {
-                spec,
-                lane,
-                tracker,
-                engine,
-            });
+            runs.push(LotRun { spec, engine });
         }
+        let report = self.serve(started, runs, metrics, true, None, on_report)?;
 
-        // One bounded result channel for the whole floor: a lagging
-        // collector backpressures the workers, and batches carry their lot
-        // index. Dispatch everything up front — queue pushes never block.
-        let (tx, rx) = mpsc::sync_channel::<(usize, Result<Vec<DeviceReport>, SimError>)>(
-            self.pool.threads().saturating_mul(2).max(1),
-        );
-        for (idx, run) in runs.iter().enumerate() {
-            if let Some(engine) = &run.engine {
-                for members in plan_cohorts(&run.spec.variation, &run.spec.soc, run.spec.devices) {
-                    let engine = Arc::clone(engine);
-                    let tx = tx.clone();
-                    self.pool.execute_in(run.lane, move || {
-                        // The receiver hangs up after a first error:
-                        // discard late batches instead of panicking.
-                        let _ = tx.send((idx, engine.run_cohort(members)));
-                    });
-                }
-            } else {
-                for device_id in 0..run.spec.devices {
-                    let soc = Arc::clone(&run.spec.soc);
-                    let plan = Arc::clone(&run.spec.plan);
-                    let cache = Arc::clone(&self.cache);
-                    let fault = run.spec.variation.fault_for(&run.spec.soc, device_id);
-                    let tx = tx.clone();
-                    self.pool.execute_in(run.lane, move || {
-                        let outcome = test_device(&soc, &plan, &cache, device_id, fault);
-                        let _ = tx.send((idx, outcome.map(|report| vec![report])));
-                    });
-                }
-            }
-        }
-        drop(tx);
-
-        // Shared state between the collector (main thread) and the
-        // admission thread.
-        let stop = (Mutex::new(false), Condvar::new());
-        let events: Mutex<Vec<AdmissionEvent>> = Mutex::new(Vec::new());
-        let snapshot_log: Vec<Mutex<Vec<FleetSnapshot>>> =
-            runs.iter().map(|_| Mutex::new(Vec::new())).collect();
-        let aborted: Mutex<Vec<bool>> = Mutex::new(vec![false; runs.len()]);
-
-        let (mut reports, error) = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let views: Vec<LotLive<'_>> = runs
-                    .iter()
-                    .map(|run| LotLive {
-                        name: &run.spec.name,
-                        lane: run.lane,
-                        priority: run.spec.priority,
-                        tracker: &run.tracker,
-                    })
-                    .collect();
-                let mut controller = AdmissionController::new(self.policy, runs.len());
-                loop {
-                    let guard = stop.0.lock().expect("floor poisoned");
-                    let (guard, _) = stop
-                        .1
-                        .wait_timeout_while(guard, self.policy.interval, |stopped| !*stopped)
-                        .expect("floor poisoned");
-                    let stopping = *guard;
-                    drop(guard);
-                    for (idx, run) in runs.iter().enumerate() {
-                        // Queued devices still waiting in the lot's lane:
-                        // packed lanes queue cohorts, so convert (the last
-                        // cohort may be partial — clamp to what's owed).
-                        let queued_jobs = self.pool.lane_queued(run.lane) as u64;
-                        let queued = if run.engine.is_some() {
-                            queued_jobs
-                                .saturating_mul(COHORT_LANES as u64)
-                                .min(run.tracker.remaining())
-                        } else {
-                            queued_jobs
-                        };
-                        let snapshot = run.tracker.snapshot(&self.cache, queued, stopping);
-                        snapshot_log[idx]
-                            .lock()
-                            .expect("floor poisoned")
-                            .push(snapshot);
-                    }
-                    if stopping {
-                        let mut flags = aborted.lock().expect("floor poisoned");
-                        for (idx, flag) in flags.iter_mut().enumerate() {
-                            *flag = controller.aborted(idx);
-                        }
-                        break;
-                    }
-                    let ticked = controller.tick(&self.pool, &views);
-                    if !ticked.is_empty() {
-                        events.lock().expect("floor poisoned").extend(ticked);
-                    }
-                }
-            });
-
-            let mut reports: Vec<Vec<DeviceReport>> = runs
-                .iter()
-                .map(|run| Vec::with_capacity(run.spec.devices as usize))
-                .collect();
-            let mut error = None;
-            for (idx, outcome) in rx.iter() {
-                match outcome {
-                    Ok(batch) => {
-                        for report in batch {
-                            runs[idx].tracker.record(&report);
-                            on_report(idx, &report);
-                            reports[idx].push(report);
-                        }
-                    }
-                    Err(err) => {
-                        error = Some(err);
-                        break;
-                    }
-                }
-            }
-            if error.is_some() {
-                // Flush what the floor still owes: queued jobs are dropped
-                // (their sends fail against the hung-up receiver) and no
-                // lane stays paused into the next run.
-                for run in &runs {
-                    self.pool.drain_lane(run.lane);
-                }
-            }
-            for run in &runs {
-                self.pool.set_lane_paused(run.lane, false);
-            }
-            *stop.0.lock().expect("floor poisoned") = true;
-            stop.1.notify_all();
-            (reports, error)
-        });
-
-        if let Some(err) = error {
-            return Err(err);
-        }
-        let wall = started.elapsed();
-        let aborted = aborted.into_inner().expect("floor poisoned");
-        let mut events_by_lot: Vec<Vec<AdmissionEvent>> = runs.iter().map(|_| Vec::new()).collect();
-        let all_events = events.into_inner().expect("floor poisoned");
         let mut action_counts = [0u64; 5];
-        for event in all_events {
+        for event in report.lots.iter().flat_map(|lot| &lot.events) {
             action_counts[match event.action {
                 AdmissionAction::Paused => 0,
                 AdmissionAction::Resumed => 1,
@@ -600,51 +460,8 @@ impl TestFloor {
                 AdmissionAction::Aborted { .. } => 3,
                 AdmissionAction::Boosted { .. } => 4,
             }] += 1;
-            events_by_lot[event.lot].push(event);
         }
 
-        let mut lot_reports = Vec::with_capacity(runs.len());
-        for (idx, (run, mut devices)) in runs.into_iter().zip(reports.drain(..)).enumerate() {
-            devices.sort_by_key(|d| d.device_id);
-            let lot_metrics = MetricsRegistry::new();
-            publish_fleet_metrics(
-                &lot_metrics,
-                run.spec.devices,
-                &devices,
-                self.pool.threads(),
-                &self.cache,
-                run.engine.as_deref(),
-            );
-            metrics.merge_from_prefixed(&lot_metrics, &format!("floor.lot.{}.", run.spec.name));
-            let passed = devices.iter().filter(|d| d.passed()).count();
-            let total_cycles: u64 = devices.iter().map(|d| d.report.total_cycles).sum();
-            let wire_cycles: u64 = devices.iter().map(|d| d.report.bus_cycles).sum();
-            let mut snapshots = snapshot_log[idx].lock().expect("floor poisoned");
-            lot_reports.push(LotReport {
-                name: run.spec.name.clone(),
-                priority: run.spec.priority,
-                requested: run.spec.devices,
-                status: if aborted[idx] {
-                    LotStatus::Aborted
-                } else {
-                    LotStatus::Completed
-                },
-                fleet: FleetReport {
-                    devices,
-                    passed,
-                    total_cycles,
-                    wire_cycles,
-                    wall,
-                },
-                events: std::mem::take(&mut events_by_lot[idx]),
-                snapshots: std::mem::take(&mut *snapshots),
-            });
-        }
-
-        let report = FloorReport {
-            lots: lot_reports,
-            wall,
-        };
         metrics.set("floor.lots", report.lots.len() as u64);
         metrics.set("floor.devices", report.requested());
         metrics.set("floor.completed", report.completed());
@@ -677,5 +494,267 @@ impl TestFloor {
         metrics.set("floor.route_cache.high_water", stats.high_water);
 
         Ok(report)
+    }
+
+    /// The one dispatch loop behind every run, floor or fleet: takes a lane
+    /// per lot, pushes the device jobs, owns the result channel, runs the
+    /// observer thread, and builds each lot's [`FleetReport`] and `fleet.*`
+    /// metrics (under `floor.lot.<name>.` when `lot_prefix` is set). An
+    /// attached `monitor` (one scalar fleet lot) gets its device hooks, the
+    /// pool's queue waits, and a completed snapshot every
+    /// [`MonitorConfig::interval`](crate::MonitorConfig::interval).
+    pub(crate) fn serve(
+        &self,
+        started: Instant,
+        runs: Vec<LotRun>,
+        metrics: &MetricsRegistry,
+        lot_prefix: bool,
+        monitor: Option<&FleetMonitor>,
+        mut on_report: impl FnMut(usize, &DeviceReport),
+    ) -> Result<FloorReport, SimError> {
+        let lanes: Vec<LaneId> = runs
+            .iter()
+            .map(|run| self.pool.lane(run.spec.priority))
+            .collect();
+        let trackers: Vec<LotTracker> = runs
+            .iter()
+            .map(|run| LotTracker::new(run.spec.devices, self.policy.window))
+            .collect();
+        let interval = monitor.map_or(self.policy.interval, |m| m.config().interval);
+        let monitor = monitor.map(|m| Arc::clone(m.shared()));
+        if let Some(monitor) = &monitor {
+            monitor.clear_run();
+            self.pool.set_metrics(Some(Arc::clone(monitor.telemetry())));
+        }
+
+        // One bounded result channel for the whole run: a lagging collector
+        // backpressures the workers, and batches — one per cohort (packed)
+        // or per device (scalar) — carry their lot index. Dispatch
+        // everything up front: queue pushes never block.
+        let (tx, rx) = mpsc::sync_channel::<(usize, Result<Vec<DeviceReport>, SimError>)>(
+            self.pool.threads().saturating_mul(2).max(1),
+        );
+        for (idx, (run, &lane)) in runs.iter().zip(&lanes).enumerate() {
+            if let Some(engine) = &run.engine {
+                // Faults are stamped on the dispatch thread, so lane
+                // assignment is a pure function of device id.
+                for members in plan_cohorts(&run.spec.variation, &run.spec.soc, run.spec.devices) {
+                    let engine = Arc::clone(engine);
+                    let tx = tx.clone();
+                    self.pool.execute_in(lane, move || {
+                        // The receiver hangs up after a first error:
+                        // discard late batches instead of panicking.
+                        let _ = tx.send((idx, engine.run_cohort(members)));
+                    });
+                }
+            } else {
+                for device_id in 0..run.spec.devices {
+                    let soc = Arc::clone(&run.spec.soc);
+                    let plan = Arc::clone(&run.spec.plan);
+                    let cache = Arc::clone(&self.cache);
+                    let fault = run.spec.variation.fault_for(&run.spec.soc, device_id);
+                    let monitor = monitor.clone();
+                    let tx = tx.clone();
+                    self.pool.execute_in(lane, move || {
+                        let outcome =
+                            test_device(&soc, &plan, &cache, device_id, fault, monitor.as_deref());
+                        let _ = tx.send((idx, outcome.map(|report| vec![report])));
+                    });
+                }
+            }
+        }
+        drop(tx);
+
+        // Shared state between the collector (this thread) and the
+        // observer thread.
+        let stop = (Mutex::new(false), Condvar::new());
+        let events: Mutex<Vec<AdmissionEvent>> = Mutex::new(Vec::new());
+        let snapshot_log: Vec<Mutex<Vec<FleetSnapshot>>> =
+            runs.iter().map(|_| Mutex::new(Vec::new())).collect();
+        let aborted: Mutex<Vec<bool>> = Mutex::new(vec![false; runs.len()]);
+
+        let (mut reports, error) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let views: Vec<LotLive<'_>> = runs
+                    .iter()
+                    .zip(&lanes)
+                    .zip(&trackers)
+                    .map(|((run, &lane), tracker)| LotLive {
+                        name: &run.spec.name,
+                        lane,
+                        priority: run.spec.priority,
+                        tracker,
+                    })
+                    .collect();
+                let mut controller = AdmissionController::new(self.policy, runs.len());
+                loop {
+                    let guard = stop.0.lock().expect("floor poisoned");
+                    let (guard, _) = stop
+                        .1
+                        .wait_timeout_while(guard, interval, |stopped| !*stopped)
+                        .expect("floor poisoned");
+                    let stopping = *guard;
+                    drop(guard);
+                    for (idx, lot) in views.iter().enumerate() {
+                        // Queued devices still waiting in the lot's lane:
+                        // packed lanes queue cohorts, so convert (the last
+                        // cohort may be partial — clamp to what's owed).
+                        let queued_jobs = self.pool.lane_queued(lot.lane) as u64;
+                        let queued = if runs[idx].engine.is_some() {
+                            queued_jobs
+                                .saturating_mul(COHORT_LANES as u64)
+                                .min(lot.tracker.remaining())
+                        } else {
+                            queued_jobs
+                        };
+                        let mut snapshot = lot.tracker.snapshot(&self.cache, queued, stopping);
+                        if let Some(monitor) = &monitor {
+                            monitor.complete(&mut snapshot);
+                            monitor.emit(snapshot.clone());
+                        }
+                        snapshot_log[idx]
+                            .lock()
+                            .expect("floor poisoned")
+                            .push(snapshot);
+                    }
+                    if stopping {
+                        let mut flags = aborted.lock().expect("floor poisoned");
+                        for (idx, flag) in flags.iter_mut().enumerate() {
+                            *flag = controller.aborted(idx);
+                        }
+                        break;
+                    }
+                    let ticked = controller.tick(&self.pool, &views);
+                    if !ticked.is_empty() {
+                        events.lock().expect("floor poisoned").extend(ticked);
+                    }
+                }
+            });
+
+            let mut reports: Vec<Vec<DeviceReport>> = runs
+                .iter()
+                .map(|run| Vec::with_capacity(run.spec.devices as usize))
+                .collect();
+            let mut error = None;
+            for (idx, outcome) in rx.iter() {
+                match outcome {
+                    Ok(batch) => {
+                        for report in batch {
+                            trackers[idx].record(&report);
+                            on_report(idx, &report);
+                            reports[idx].push(report);
+                        }
+                    }
+                    Err(err) => {
+                        error = Some(err);
+                        break;
+                    }
+                }
+            }
+            *stop.0.lock().expect("floor poisoned") = true;
+            stop.1.notify_all();
+            (reports, error)
+        });
+
+        if monitor.is_some() {
+            self.pool.set_metrics(None);
+        }
+        // The observer is done with the lanes: hand them back, dropping an
+        // errored run's still-queued jobs.
+        for lane in lanes {
+            self.pool.release_lane(lane);
+        }
+        if let Some(err) = error {
+            return Err(err);
+        }
+        let wall = started.elapsed();
+        let aborted = aborted.into_inner().expect("floor poisoned");
+        let mut events_by_lot: Vec<Vec<AdmissionEvent>> = runs.iter().map(|_| Vec::new()).collect();
+        for event in events.into_inner().expect("floor poisoned") {
+            events_by_lot[event.lot].push(event);
+        }
+
+        let mut lots = Vec::with_capacity(runs.len());
+        for (idx, (run, mut devices)) in runs.into_iter().zip(reports.drain(..)).enumerate() {
+            devices.sort_by_key(|d| d.device_id);
+            let publish = |into: &MetricsRegistry| {
+                publish_fleet_metrics(
+                    into,
+                    run.spec.devices,
+                    &devices,
+                    self.pool.threads(),
+                    &self.cache,
+                    run.engine.as_deref(),
+                );
+            };
+            if lot_prefix {
+                let lot_metrics = MetricsRegistry::new();
+                publish(&lot_metrics);
+                metrics.merge_from_prefixed(&lot_metrics, &format!("floor.lot.{}.", run.spec.name));
+            } else {
+                publish(metrics);
+            }
+            let passed = devices.iter().filter(|d| d.passed()).count();
+            let total_cycles: u64 = devices.iter().map(|d| d.report.total_cycles).sum();
+            let wire_cycles: u64 = devices.iter().map(|d| d.report.bus_cycles).sum();
+            let mut snapshots = snapshot_log[idx].lock().expect("floor poisoned");
+            lots.push(LotReport {
+                name: run.spec.name,
+                priority: run.spec.priority,
+                requested: run.spec.devices,
+                status: if aborted[idx] {
+                    LotStatus::Aborted
+                } else {
+                    LotStatus::Completed
+                },
+                fleet: FleetReport {
+                    devices,
+                    passed,
+                    total_cycles,
+                    wire_cycles,
+                    wall,
+                },
+                events: std::mem::take(&mut events_by_lot[idx]),
+                snapshots: std::mem::take(&mut *snapshots),
+            });
+        }
+        Ok(FloorReport { lots, wall })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use casbus_controller::schedule::packed_schedule;
+    use casbus_soc::catalog;
+
+    #[test]
+    fn repeated_runs_reuse_pool_lanes() {
+        let (scan, bist) = (catalog::figure2a_scan_soc(), catalog::figure2b_bist_soc());
+        let lot = |name: &str, soc: &SocDescription, n, devices, rate| {
+            let schedule = packed_schedule(soc, n).unwrap();
+            LotSpec::new(name, soc, n, schedule, devices, VariationSpec::new(1, rate)).unwrap()
+        };
+        let lots = || {
+            vec![
+                lot("a", &scan, 4, 5, 0.5).with_priority(3),
+                lot("b", &bist, 3, 3, 0.5).with_packed(false),
+                lot("c", &scan, 4, 2, 0.0),
+            ]
+        };
+        let devices = |report: FloorReport| -> Vec<Vec<DeviceReport>> {
+            report
+                .lots
+                .into_iter()
+                .map(|lot| lot.fleet.devices)
+                .collect()
+        };
+        let floor = TestFloor::new().with_threads(2);
+        let first = devices(floor.run(lots()).unwrap());
+        for run in 1..200 {
+            assert_eq!(devices(floor.run(lots()).unwrap()), first, "run {run}");
+        }
+        let lanes = floor.pool.lane_count();
+        assert!(lanes <= 1 + 3, "{lanes} lanes after 200 runs");
     }
 }

@@ -31,16 +31,17 @@
 //!   compiled engine and gating the winner bit-exactly against the
 //!   reference interpreter,
 //! * [`fleet::FleetRunner`] — compile one test program once and serve it
-//!   across thousands of simulated devices on a persistent worker pool,
-//!   streaming per-device pass/fail reports and a fleet yield summary,
+//!   across thousands of simulated devices, streaming per-device
+//!   pass/fail reports and a fleet yield summary; a fleet is a one-lot
+//!   [`floor::TestFloor`], served by the floor's dispatch loop,
 //! * [`engine_packed::PackedDeviceEngine`] — the fleet's packed
 //!   device-parallel mode: cohorts of up to 64 devices share one word-level
 //!   execution, each device one bit-lane, with per-device reports extracted
 //!   bit-identical to the scalar path,
-//! * [`monitor::FleetMonitor`] — watch an in-flight fleet run live:
-//!   streaming health snapshots (yield, throughput, latency quantiles,
-//!   stragglers) over a bounded channel, plus per-device flight-recorder
-//!   dumps for failing dies,
+//! * [`monitor::FleetMonitor`] — watch an in-flight fleet run live: the
+//!   floor's observer thread streams health snapshots (yield, throughput,
+//!   latency quantiles, stragglers) over a bounded channel, plus
+//!   per-device flight-recorder dumps for failing dies,
 //! * [`floor::TestFloor`] — multi-tenant serving: run several heterogeneous
 //!   lots ([`floor::LotSpec`]) concurrently on one shared worker pool and
 //!   one route-cache budget, weighted-fair by lot priority, each lot's

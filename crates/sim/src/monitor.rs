@@ -6,14 +6,17 @@
 //! per-die post-mortems. [`FleetMonitor`] opens the box without touching
 //! the determinism contract:
 //!
-//! * A sampler thread (spawned inside
-//!   [`FleetRunner::run_monitored`](crate::FleetRunner::run_monitored))
-//!   periodically assembles a [`FleetSnapshot`] — devices completed /
-//!   passed / defective, rolling yield, devices/s, route-cache hit rate,
-//!   per-device elapsed and queue-wait quantiles, and the current
-//!   straggler list — and pushes it over a **bounded** channel with
-//!   `try_send`: a lagging consumer drops snapshots (counted), never
-//!   backpressures the fleet.
+//! * A monitored run
+//!   ([`FleetRunner::run_with_metrics`](crate::FleetRunner::run_with_metrics)
+//!   with a monitor attached) is served by the floor's one dispatch loop
+//!   (see [`crate::floor`]), and its observer
+//!   thread wakes every [`MonitorConfig::interval`]: it takes the lot's
+//!   [`LotTracker`] snapshot — devices completed / passed / defective,
+//!   rolling yield, devices/s, route-cache hit rate — fills in what only
+//!   the monitor sees (per-device elapsed and queue-wait quantiles, the
+//!   devices in flight and the straggler list), and pushes it over a
+//!   **bounded** channel with `try_send`: a lagging consumer drops
+//!   snapshots (counted), never backpressures the fleet.
 //! * Each device job records coarse engine spans into a per-device
 //!   [`FlightRecorder`]; any defective or failing die dumps its ring as a
 //!   [`DeviceDump`], so post-mortems are focused event logs instead of a
@@ -37,11 +40,13 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use casbus::RouteTableCache;
 use casbus_obs::{json, FlightDump, FlightRecorder, Histogram, HistogramSummary, MetricsRegistry};
+
+use crate::fleet::DeviceReport;
 
 /// Tuning for a [`FleetMonitor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,186 +266,115 @@ pub struct DeviceDump {
     pub dump: FlightDump,
 }
 
-/// Internal state shared between the fleet's device jobs, the sampler
-/// thread, and the monitor handle the caller keeps.
+/// Internal state shared between a monitored run's device jobs, the
+/// floor's observer thread, and the monitor handle the caller keeps. It
+/// holds only what a [`LotTracker`] cannot see: devices in flight, per-device
+/// latency, flight-recorder dumps, and the wall-clock telemetry registry.
 pub(crate) struct MonitorShared {
     config: MonitorConfig,
-    fleet_size: AtomicU64,
-    completed: AtomicU64,
-    passed: AtomicU64,
-    defective: AtomicU64,
-    seq: AtomicU64,
     emitted: AtomicU64,
     dropped: AtomicU64,
-    started: Mutex<Option<Instant>>,
     in_flight: Mutex<BTreeMap<u64, Instant>>,
     device_elapsed: Mutex<Histogram>,
     dumps: Mutex<Vec<DeviceDump>>,
     telemetry: Arc<MetricsRegistry>,
     tx: SyncSender<FleetSnapshot>,
-    stop: Mutex<bool>,
-    stopped: Condvar,
 }
 
 impl MonitorShared {
-    /// Arms the monitor for a run of `fleet_size` devices, resetting every
-    /// live counter and the dump list (telemetry histograms accumulate
-    /// across runs by design — they describe the monitor's lifetime).
-    pub(crate) fn begin_run(&self, fleet_size: u64) {
-        self.fleet_size.store(fleet_size, Ordering::Relaxed);
-        self.completed.store(0, Ordering::Relaxed);
-        self.passed.store(0, Ordering::Relaxed);
-        self.defective.store(0, Ordering::Relaxed);
-        self.seq.store(0, Ordering::Relaxed);
-        *self.started.lock().expect("monitor poisoned") = Some(Instant::now());
-        self.in_flight.lock().expect("monitor poisoned").clear();
+    /// Forgets the previous run's latency digest and dumps (telemetry
+    /// histograms accumulate across runs by design — they describe the
+    /// monitor's lifetime).
+    pub(crate) fn clear_run(&self) {
         *self.device_elapsed.lock().expect("monitor poisoned") = Histogram::new();
         self.dumps.lock().expect("monitor poisoned").clear();
-        *self.stop.lock().expect("monitor poisoned") = false;
     }
 
-    /// Signals the sampler to emit its final snapshot and exit.
-    pub(crate) fn finish_run(&self) {
-        *self.stop.lock().expect("monitor poisoned") = true;
-        self.stopped.notify_all();
-    }
-
-    pub(crate) fn device_started(&self, device_id: u64) {
+    /// Marks `device_id` in flight and hands back its fresh flight
+    /// recorder (`None` when recorders are disabled).
+    pub(crate) fn device_started(&self, device_id: u64) -> Option<Arc<FlightRecorder>> {
         self.in_flight
             .lock()
             .expect("monitor poisoned")
             .insert(device_id, Instant::now());
-    }
-
-    pub(crate) fn device_finished(
-        &self,
-        device_id: u64,
-        passed: bool,
-        defective: bool,
-        elapsed: Duration,
-    ) {
-        self.in_flight
-            .lock()
-            .expect("monitor poisoned")
-            .remove(&device_id);
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        if passed {
-            self.passed.fetch_add(1, Ordering::Relaxed);
-        }
-        if defective {
-            self.defective.fetch_add(1, Ordering::Relaxed);
-        }
-        self.device_elapsed
-            .lock()
-            .expect("monitor poisoned")
-            .observe(elapsed.as_micros() as u64);
-    }
-
-    /// A fresh per-device flight recorder, or `None` when disabled.
-    pub(crate) fn new_recorder(&self) -> Option<Arc<FlightRecorder>> {
         (self.config.recorder_capacity > 0)
             .then(|| Arc::new(FlightRecorder::new(self.config.recorder_capacity)))
     }
 
-    pub(crate) fn add_dump(&self, dump: DeviceDump) {
-        self.dumps.lock().expect("monitor poisoned").push(dump);
+    /// Takes the finished device out of flight, records its wall time, and
+    /// dumps its recorder when the die was defective or failed.
+    pub(crate) fn device_finished(
+        &self,
+        report: &DeviceReport,
+        recorder: Option<Arc<FlightRecorder>>,
+    ) {
+        let started = self
+            .in_flight
+            .lock()
+            .expect("monitor poisoned")
+            .remove(&report.device_id);
+        if let Some(started) = started {
+            self.device_elapsed
+                .lock()
+                .expect("monitor poisoned")
+                .observe(started.elapsed().as_micros() as u64);
+        }
+        let (defective, passed) = (report.fault.is_some(), report.passed());
+        if let (Some(recorder), true) = (recorder, defective || !passed) {
+            self.dumps
+                .lock()
+                .expect("monitor poisoned")
+                .push(DeviceDump {
+                    device_id: report.device_id,
+                    defective,
+                    passed,
+                    dump: recorder.dump(),
+                });
+        }
     }
 
     pub(crate) fn telemetry(&self) -> &Arc<MetricsRegistry> {
         &self.telemetry
     }
 
-    /// The sampler: one snapshot per interval while devices run, plus a
-    /// final `last = true` snapshot after [`finish_run`](Self::finish_run).
-    pub(crate) fn sampler_loop(&self, cache: &RouteTableCache) {
-        loop {
-            let guard = self.stop.lock().expect("monitor poisoned");
-            let (guard, _timeout) = self
-                .stopped
-                .wait_timeout_while(guard, self.config.interval, |stop| !*stop)
-                .expect("monitor poisoned");
-            let stop = *guard;
-            drop(guard);
-            if stop {
-                break;
-            }
-            self.emit(self.snapshot(cache, false));
-        }
-        self.emit(self.snapshot(cache, true));
-    }
-
-    fn snapshot(&self, cache: &RouteTableCache, last: bool) -> FleetSnapshot {
-        let elapsed = self
-            .started
+    /// Fills the fields of a [`LotTracker::snapshot`] that only the monitor
+    /// can see: devices in flight and the longest-running of them, the
+    /// device-latency and queue-wait digests, and the fallback entry that
+    /// attributes every device to the scalar path monitored runs take.
+    pub(crate) fn complete(&self, snapshot: &mut FleetSnapshot) {
+        let mut stragglers: Vec<Straggler> = self
+            .in_flight
             .lock()
             .expect("monitor poisoned")
-            .map_or(Duration::ZERO, |s| s.elapsed());
-        let completed = self.completed.load(Ordering::Relaxed);
-        let passed = self.passed.load(Ordering::Relaxed);
-        let mut stragglers: Vec<Straggler> = {
-            let in_flight = self.in_flight.lock().expect("monitor poisoned");
-            in_flight
-                .iter()
-                .map(|(&device_id, since)| Straggler {
-                    device_id,
-                    elapsed_us: since.elapsed().as_micros() as u64,
-                })
-                .collect()
-        };
-        let in_flight = stragglers.len() as u64;
+            .iter()
+            .map(|(&device_id, since)| Straggler {
+                device_id,
+                elapsed_us: since.elapsed().as_micros() as u64,
+            })
+            .collect();
+        snapshot.in_flight = stragglers.len() as u64;
         stragglers.sort_by(|a, b| {
             b.elapsed_us
                 .cmp(&a.elapsed_us)
                 .then(a.device_id.cmp(&b.device_id))
         });
         stragglers.truncate(self.config.stragglers);
-        let (cache_hits, cache_misses) = (cache.hits(), cache.misses());
-        let lookups = cache_hits + cache_misses;
-        FleetSnapshot {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            last,
-            elapsed_us: elapsed.as_micros() as u64,
-            fleet_size: self.fleet_size.load(Ordering::Relaxed),
-            completed,
-            passed,
-            failed: completed - passed,
-            defective: self.defective.load(Ordering::Relaxed),
-            in_flight,
-            yield_fraction: if completed == 0 {
-                1.0
-            } else {
-                passed as f64 / completed as f64
-            },
-            devices_per_sec: completed as f64 / elapsed.as_secs_f64().max(1e-9),
-            cache_hits,
-            cache_misses,
-            cache_hit_rate: if lookups == 0 {
-                0.0
-            } else {
-                cache_hits as f64 / lookups as f64
-            },
-            // Monitored runs execute scalar by policy (see the module doc):
-            // every device of the run is a packed fallback with one shared
-            // reason.
-            packed_fallbacks: vec![(
-                "monitored_run".to_owned(),
-                self.fleet_size.load(Ordering::Relaxed),
-            )],
-            device_elapsed_us: self
-                .device_elapsed
-                .lock()
-                .expect("monitor poisoned")
-                .summary(),
-            queue_wait_us: self
-                .telemetry
-                .histogram("obs.pool.job.wait_us")
-                .map(|h| h.summary())
-                .unwrap_or_default(),
-            stragglers,
-        }
+        snapshot.stragglers = stragglers;
+        snapshot.packed_fallbacks = vec![("monitored_run".to_owned(), snapshot.fleet_size)];
+        snapshot.device_elapsed_us = self
+            .device_elapsed
+            .lock()
+            .expect("monitor poisoned")
+            .summary();
+        snapshot.queue_wait_us = self
+            .telemetry
+            .histogram("obs.pool.job.wait_us")
+            .map(|h| h.summary())
+            .unwrap_or_default();
     }
 
-    fn emit(&self, snapshot: FleetSnapshot) {
+    /// Hands `snapshot` to the receiver without ever blocking.
+    pub(crate) fn emit(&self, snapshot: FleetSnapshot) {
         match self.tx.try_send(snapshot) {
             Ok(()) => {
                 self.emitted.fetch_add(1, Ordering::Relaxed);
@@ -454,7 +388,8 @@ impl MonitorShared {
     }
 }
 
-/// A live observer for [`FleetRunner::run_monitored`](crate::FleetRunner::run_monitored).
+/// A live observer for a fleet run, attached through
+/// [`FleetRunner::run_with_metrics`](crate::FleetRunner::run_with_metrics).
 ///
 /// Construction hands back the monitor and the receiving end of its bounded
 /// snapshot channel; consume the receiver from any thread (or not at all —
@@ -467,13 +402,16 @@ impl MonitorShared {
 ///
 /// ```
 /// use casbus_controller::schedule::packed_schedule;
+/// use casbus_obs::MetricsRegistry;
 /// use casbus_sim::{FleetMonitor, FleetRunner, VariationSpec};
 /// use casbus_soc::catalog;
 ///
 /// let soc = catalog::figure2a_scan_soc();
 /// let runner = FleetRunner::new(&soc, 4, packed_schedule(&soc, 4).unwrap())?;
 /// let (monitor, snapshots) = FleetMonitor::new();
-/// let fleet = runner.run_monitored(&VariationSpec::new(11, 0.5), 12, &monitor)?;
+/// let metrics = MetricsRegistry::new();
+/// let spec = VariationSpec::new(11, 0.5);
+/// let fleet = runner.run_with_metrics(&spec, 12, &metrics, Some(&monitor), |_| {})?;
 /// // The run is over, so drain what's buffered (a blocking `iter()` would
 /// // wait forever: the monitor still holds the sender).
 /// let last = snapshots.try_iter().last().expect("final snapshot always lands");
@@ -506,21 +444,13 @@ impl FleetMonitor {
         let (tx, rx) = mpsc::sync_channel(config.channel_capacity.max(1));
         let shared = Arc::new(MonitorShared {
             config,
-            fleet_size: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            passed: AtomicU64::new(0),
-            defective: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
             emitted: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            started: Mutex::new(None),
             in_flight: Mutex::new(BTreeMap::new()),
             device_elapsed: Mutex::new(Histogram::new()),
             dumps: Mutex::new(Vec::new()),
             telemetry: MetricsRegistry::new(),
             tx,
-            stop: Mutex::new(false),
-            stopped: Condvar::new(),
         });
         (Self { shared }, rx)
     }
@@ -568,12 +498,13 @@ impl FleetMonitor {
 /// [`last_progress_age`](Self::last_progress_age) to the
 /// [`AdmissionController`](crate::admission::AdmissionController).
 ///
-/// Unlike the full [`FleetMonitor`] (which owns per-device phase timers and
-/// flight recorders and therefore forces the scalar path), a `LotTracker`
-/// observes only completion events, so packed cohort execution stays
-/// available to floor lots. Snapshot fields the tracker cannot see —
+/// It is the one progress tracker of every run, fleet or floor. A
+/// `LotTracker` observes only completion events, so packed cohort execution
+/// stays available to floor lots. Snapshot fields the tracker cannot see —
 /// per-device latency quantiles, queue-wait digests, stragglers, live
-/// fallback attribution — are left empty in lot snapshots.
+/// fallback attribution — are left empty, unless a [`FleetMonitor`] (which
+/// owns per-device phase timers and flight recorders and therefore forces
+/// the scalar path) is attached and fills them in.
 #[derive(Debug)]
 pub struct LotTracker {
     fleet_size: u64,
@@ -708,6 +639,26 @@ impl LotTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::SocTestReport;
+    use casbus_tpg::Verdict;
+
+    fn finished(device_id: u64, verdict: Verdict, defective: bool) -> DeviceReport {
+        DeviceReport {
+            device_id,
+            fault: defective.then(|| crate::fleet::InjectedFault {
+                core: "core".to_owned(),
+                kind: crate::fleet::FaultKind::BistResponse { after: 0 },
+            }),
+            report: SocTestReport {
+                verdicts: vec![("core".to_owned(), verdict)],
+                total_cycles: 1,
+                steps: 1,
+                per_core_cycles: Vec::new(),
+                bus_cycles: 0,
+                signatures: Vec::new(),
+            },
+        }
+    }
 
     #[test]
     fn snapshot_reports_counts_yield_and_stragglers() {
@@ -716,16 +667,22 @@ mod tests {
             ..MonitorConfig::default()
         });
         let shared = monitor.shared();
-        shared.begin_run(8);
+        let tracker = LotTracker::new(8, 32);
         for id in 0..5 {
             shared.device_started(id);
         }
-        shared.device_finished(0, true, false, Duration::from_micros(500));
-        shared.device_finished(1, false, true, Duration::from_micros(900));
+        for report in [
+            finished(0, Verdict::Pass, false),
+            finished(1, Verdict::Fail { mismatches: 1 }, true),
+        ] {
+            shared.device_finished(&report, shared.device_started(report.device_id));
+            tracker.record(&report);
+        }
         shared.telemetry().observe("obs.pool.job.wait_us", 10);
 
         let cache = RouteTableCache::new();
-        let snap = shared.snapshot(&cache, false);
+        let mut snap = tracker.snapshot(&cache, 0, false);
+        shared.complete(&mut snap);
         assert_eq!(snap.fleet_size, 8);
         assert_eq!(snap.completed, 2);
         assert_eq!(snap.passed, 1);
@@ -764,32 +721,31 @@ mod tests {
             ..MonitorConfig::default()
         });
         let shared = monitor.shared();
-        shared.begin_run(1);
+        let tracker = LotTracker::new(1, 1);
         let cache = RouteTableCache::new();
-        shared.emit(shared.snapshot(&cache, false));
-        shared.emit(shared.snapshot(&cache, false));
-        shared.emit(shared.snapshot(&cache, false));
+        shared.emit(tracker.snapshot(&cache, 0, false));
+        shared.emit(tracker.snapshot(&cache, 0, false));
+        shared.emit(tracker.snapshot(&cache, 0, false));
         assert_eq!(monitor.snapshots_emitted(), 1);
         assert_eq!(monitor.snapshots_dropped(), 2);
         assert_eq!(rx.try_iter().count(), 1);
     }
 
     #[test]
-    fn sampler_always_emits_a_final_snapshot() {
+    fn observer_always_emits_a_final_snapshot() {
+        use casbus_controller::schedule::packed_schedule;
+        let soc = casbus_soc::catalog::figure2a_scan_soc();
+        let runner = crate::FleetRunner::new(&soc, 4, packed_schedule(&soc, 4).unwrap()).unwrap();
         let (monitor, rx) = FleetMonitor::with_config(MonitorConfig {
             interval: Duration::from_millis(200),
             ..MonitorConfig::default()
         });
-        let shared = Arc::clone(monitor.shared());
-        shared.begin_run(0);
-        let cache = RouteTableCache::new();
-        std::thread::scope(|scope| {
-            let sampler = scope.spawn(|| shared.sampler_loop(&cache));
-            // Stop well before the first interval elapses: only the final
-            // snapshot should be emitted.
-            shared.finish_run();
-            sampler.join().expect("sampler panicked");
-        });
+        // An empty run ends well before the first interval elapses: only
+        // the final snapshot should be emitted.
+        let spec = crate::VariationSpec::perfect();
+        runner
+            .run_with_metrics(&spec, 0, &MetricsRegistry::new(), Some(&monitor), |_| {})
+            .unwrap();
         let snaps: Vec<FleetSnapshot> = rx.try_iter().collect();
         assert_eq!(snaps.len(), 1);
         assert!(snaps[0].last);
@@ -799,11 +755,11 @@ mod tests {
     #[test]
     fn recorder_is_gated_on_capacity() {
         let (on, _rx) = FleetMonitor::new();
-        assert!(on.shared().new_recorder().is_some());
+        assert!(on.shared().device_started(0).is_some());
         let (off, _rx) = FleetMonitor::with_config(MonitorConfig {
             recorder_capacity: 0,
             ..MonitorConfig::default()
         });
-        assert!(off.shared().new_recorder().is_none());
+        assert!(off.shared().device_started(0).is_none());
     }
 }

@@ -23,7 +23,7 @@
 //! pool; per-lane work (borrows the device's wrappers) takes the scoped
 //! fan-out.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -135,6 +135,12 @@ struct PoolState {
     /// empty to non-empty rejoin at this virtual "now" instead of replaying
     /// the backlog their idle time would otherwise entitle them to.
     global_pass: u64,
+    /// Lanes handed back by [`WorkerPool::release_lane`], reused lowest
+    /// index first before a new lane is appended: a long-lived pool serving
+    /// run after run keeps as many lanes as its largest run needed, and
+    /// lots registered in order keep the lane order the scheduler breaks
+    /// pass ties by.
+    free: BTreeSet<usize>,
     shutdown: bool,
 }
 
@@ -149,6 +155,7 @@ impl PoolState {
                 pass: 0,
             }],
             global_pass: 0,
+            free: BTreeSet::new(),
             shutdown: false,
         }
     }
@@ -304,18 +311,46 @@ impl WorkerPool {
         self.execute_in(LaneId(0), job);
     }
 
-    /// Registers a new submission lane with the given fair-share `weight`
-    /// (clamped to at least 1). Lanes live as long as the pool.
+    /// Registers a submission lane with the given fair-share `weight`
+    /// (clamped to at least 1), reusing a [released](Self::release_lane)
+    /// one when there is one. Either way the lane starts empty, unpaused,
+    /// and at the scheduler's current virtual time.
     pub fn lane(&self, weight: u64) -> LaneId {
         let mut state = self.shared.state.lock().expect("worker pool poisoned");
-        let pass = state.global_pass;
-        state.lanes.push(LaneState {
+        let fresh = LaneState {
             jobs: VecDeque::new(),
             weight: weight.max(1),
             paused: false,
-            pass,
-        });
-        LaneId(state.lanes.len() - 1)
+            pass: state.global_pass,
+        };
+        match state.free.pop_first() {
+            Some(idx) => {
+                state.lanes[idx] = fresh;
+                LaneId(idx)
+            }
+            None => {
+                state.lanes.push(fresh);
+                LaneId(state.lanes.len() - 1)
+            }
+        }
+    }
+
+    /// Hands `lane` back for reuse by a later [`lane`](Self::lane) call,
+    /// dropping any job still queued on it. The caller must not submit to
+    /// `lane` afterwards. The default lane is never released.
+    pub fn release_lane(&self, lane: LaneId) {
+        if lane.0 == 0 {
+            return;
+        }
+        let mut state = self.shared.state.lock().expect("worker pool poisoned");
+        state
+            .lanes
+            .get_mut(lane.0)
+            .expect("lane of another pool")
+            .jobs
+            .clear();
+        let fresh = state.free.insert(lane.0);
+        debug_assert!(fresh, "lane released twice");
     }
 
     /// Enqueues one job on `lane`; workers pick it up according to the
@@ -408,6 +443,17 @@ impl WorkerPool {
             .metrics_attached
             .store(metrics.is_some(), Ordering::Release);
         *slot = metrics;
+    }
+
+    /// Lanes the pool holds, the default lane and released ones included.
+    #[cfg(test)]
+    pub(crate) fn lane_count(&self) -> usize {
+        self.shared
+            .state
+            .lock()
+            .expect("worker pool poisoned")
+            .lanes
+            .len()
     }
 
     /// Number of worker threads.
@@ -588,6 +634,29 @@ mod tests {
         let mut seen: Vec<u64> = rx.iter().collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2], "shutdown strands nothing");
+    }
+
+    #[test]
+    fn released_lanes_are_reused_as_fresh_ones() {
+        let pool = WorkerPool::new(1);
+        let first = pool.lane(3);
+        pool.set_lane_paused(first, true);
+        pool.set_lane_weight(first, 9);
+        pool.release_lane(first);
+        let reused = pool.lane(2);
+        assert_eq!((reused, pool.lane_count()), (first, 2));
+        {
+            let state = pool.shared.state.lock().unwrap();
+            let lane = &state.lanes[reused.0];
+            assert_eq!(
+                (lane.weight, lane.paused, lane.pass),
+                (2, false, state.global_pass)
+            );
+        }
+        let (tx, rx) = mpsc::channel();
+        pool.execute_in(reused, move || tx.send(7u64).unwrap());
+        assert_eq!(rx.recv().unwrap(), 7, "the reused lane runs jobs");
+        assert_ne!(pool.lane(1), reused, "a lane in use is not handed out");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use casbus::{RouteTableCache, Tam};
 use casbus_controller::search::{search_schedule_with, CandidateValidator, SearchBudget};
-use casbus_controller::{Schedule, TestProgram};
+use casbus_controller::{CompiledProgram, Schedule, TestProgram};
 use casbus_obs::MetricsRegistry;
 use casbus_soc::SocDescription;
 
@@ -207,30 +207,49 @@ pub fn run_program_searched_with_metrics(
     budget: SearchBudget,
     metrics: &MetricsRegistry,
 ) -> Result<(Schedule, SocTestReport), SimError> {
+    let (plan, report) = searched_plan(soc, n, budget, Arc::new(RouteTableCache::new()), metrics)?;
+    Ok((plan.schedule().clone(), report))
+}
+
+/// Searches, compiles and proves a plan: the schedule search with
+/// execution-backed validation through `cache`, then one compiled run of
+/// the winner gated bit-exactly against the reference interpreter.
+/// Publishes what [`run_program_searched_with_metrics`] documents into
+/// `metrics`. Shared by that function (with a fresh cache) and
+/// [`FleetRunner::searched`](crate::FleetRunner::searched) (with the cache
+/// its devices will execute from).
+pub(crate) fn searched_plan(
+    soc: &SocDescription,
+    n: usize,
+    budget: SearchBudget,
+    cache: Arc<RouteTableCache>,
+    metrics: &MetricsRegistry,
+) -> Result<(CompiledProgram, SocTestReport), SimError> {
     let threads = std::thread::available_parallelism().map_or(1, |c| c.get());
     let telemetry = MetricsRegistry::new();
-    let validator = CompiledValidator::new(threads).with_telemetry(Arc::clone(&telemetry));
+    let validator = CompiledValidator::new(threads)
+        .with_cache(Arc::clone(&cache))
+        .with_telemetry(Arc::clone(&telemetry));
     let schedule = search_schedule_with(soc, n, budget, &validator, metrics)?;
     metrics.merge_from(&telemetry);
-    metrics.set("search.route_cache.hits", validator.cache().hits());
-    metrics.set("search.route_cache.misses", validator.cache().misses());
-    metrics.set("search.route_cache.shapes", validator.cache().len() as u64);
+    metrics.set("search.route_cache.hits", cache.hits());
+    metrics.set("search.route_cache.misses", cache.misses());
+    metrics.set("search.route_cache.shapes", cache.len() as u64);
 
-    let tam = Tam::new(soc, n)?;
-    let program = TestProgram::from_schedule(&tam, soc, &schedule)?;
+    let plan = CompiledProgram::compile(soc, n, schedule)?;
     let mut sim = SocSimulator::new(soc, n)?;
-    let engine = CompiledEngine::new().with_cache(Arc::clone(validator.cache()));
-    let report = engine.run_with_metrics(&mut sim, &program, metrics)?;
+    let engine = CompiledEngine::new().with_cache(cache);
+    let report = engine.run_with_metrics(&mut sim, plan.program(), metrics)?;
 
     // The bit-exact gate: the winner is only a winner if the compiled
     // engine's report of it is indistinguishable from the reference
     // interpreter's, signature for signature.
     let mut reference_sim = SocSimulator::new(soc, n)?;
-    let reference = run_program_reference(&mut reference_sim, &program)?;
+    let reference = run_program_reference(&mut reference_sim, plan.program())?;
     if report != reference {
         return Err(SimError::SearchDiverged);
     }
-    Ok((schedule, report))
+    Ok((plan, report))
 }
 
 #[cfg(test)]

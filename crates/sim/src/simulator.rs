@@ -43,6 +43,14 @@ pub enum SimError {
     /// Two lots of one floor run share a name, so their per-lot metrics
     /// (`floor.lot.<name>.*`) would merge.
     DuplicateLot(String),
+    /// A packed cohort was handed more devices than one machine word has
+    /// lanes.
+    CohortTooLarge {
+        /// Devices in the cohort.
+        members: usize,
+        /// Lanes a cohort can carry.
+        lanes: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -62,6 +70,9 @@ impl fmt::Display for SimError {
                 "searched schedule's compiled report diverged from the bit-serial reference"
             ),
             Self::DuplicateLot(name) => write!(f, "two lots are named {name:?}"),
+            Self::CohortTooLarge { members, lanes } => {
+                write!(f, "cohort of {members} devices exceeds {lanes} lanes")
+            }
         }
     }
 }

@@ -63,7 +63,7 @@ fn assert_fleet_matches_sequential(soc: &SocDescription, n: usize, spec: &Variat
                 .with_threads(threads);
             let metrics = MetricsRegistry::new();
             let fleet = runner
-                .run_with_metrics(spec, fleet_size, &metrics, |_| {})
+                .run_with_metrics(spec, fleet_size, &metrics, None, |_| {})
                 .expect("fleet run");
 
             assert_eq!(
@@ -236,7 +236,7 @@ fn monitored_fleet_is_bit_identical_to_unmonitored() {
             .with_threads(threads);
         let plain_metrics = MetricsRegistry::new();
         let plain = plain_runner
-            .run_with_metrics(&spec, FLEET, &plain_metrics, |_| {})
+            .run_with_metrics(&spec, FLEET, &plain_metrics, None, |_| {})
             .expect("plain run");
 
         let monitored_runner = FleetRunner::new(&soc, 4, schedule.clone())
@@ -248,7 +248,7 @@ fn monitored_fleet_is_bit_identical_to_unmonitored() {
         });
         let monitored_metrics = MetricsRegistry::new();
         let monitored = monitored_runner
-            .run_monitored_with_metrics(&spec, FLEET, &monitored_metrics, &monitor, |_| {})
+            .run_with_metrics(&spec, FLEET, &monitored_metrics, Some(&monitor), |_| {})
             .expect("monitored run");
 
         assert_eq!(monitored.devices, plain.devices, "{threads} threads");
@@ -323,7 +323,7 @@ fn packed_fleet_is_bit_identical_to_scalar_fleet() {
             .with_threads(4);
         let scalar_metrics = MetricsRegistry::new();
         let scalar = scalar_runner
-            .run_with_metrics(&spec, fleet_size, &scalar_metrics, |_| {})
+            .run_with_metrics(&spec, fleet_size, &scalar_metrics, None, |_| {})
             .expect("scalar run");
 
         for threads in [1usize, 2, 4] {
@@ -333,7 +333,7 @@ fn packed_fleet_is_bit_identical_to_scalar_fleet() {
             assert!(packed_runner.packed(), "packed mode is the default");
             let packed_metrics = MetricsRegistry::new();
             let packed = packed_runner
-                .run_with_metrics(&spec, fleet_size, &packed_metrics, |_| {})
+                .run_with_metrics(&spec, fleet_size, &packed_metrics, None, |_| {})
                 .expect("packed run");
 
             assert_eq!(
@@ -468,7 +468,7 @@ fn all_defective_bist_memory_fleet_matches_scalar_fleet() {
             .with_threads(threads);
         let metrics = MetricsRegistry::new();
         let packed = runner
-            .run_with_metrics(&spec, FLEET, &metrics, |_| {})
+            .run_with_metrics(&spec, FLEET, &metrics, None, |_| {})
             .expect("packed run");
 
         assert_eq!(packed.devices, scalar.devices, "{threads} threads");
@@ -533,7 +533,7 @@ fn mixed_lot_bist_memory_fleet_matches_scalar_fleet() {
             .with_threads(threads);
         let metrics = MetricsRegistry::new();
         let packed = runner
-            .run_with_metrics(&spec, FLEET, &metrics, |_| {})
+            .run_with_metrics(&spec, FLEET, &metrics, None, |_| {})
             .expect("packed run");
 
         assert_eq!(packed.devices, scalar.devices, "{threads} threads");
@@ -592,7 +592,7 @@ fn variation_spec_edge_cases_and_determinism() {
     let runner = FleetRunner::new(&soc, 4, schedule.clone()).expect("runner");
     let metrics = MetricsRegistry::new();
     let empty = runner
-        .run_with_metrics(&spec, 0, &metrics, |_| {})
+        .run_with_metrics(&spec, 0, &metrics, None, |_| {})
         .expect("empty run");
     assert_eq!(empty.fleet_size(), 0);
     assert!((empty.yield_fraction() - 1.0).abs() < f64::EPSILON);

@@ -3,9 +3,12 @@
 //! never silently misread.
 
 use casbus_controller::schedule::packed_schedule;
+use casbus_controller::CompiledProgram;
 use casbus_obs::MetricsRegistry;
-use casbus_sim::{LotSpec, SimError, TestFloor, VariationSpec};
+use casbus_sim::engine_packed::COHORT_LANES;
+use casbus_sim::{LotSpec, PackedDeviceEngine, SimError, TestFloor, VariationSpec};
 use casbus_soc::catalog;
+use std::sync::Arc;
 
 #[test]
 fn nan_defect_rate_stamps_no_defects() {
@@ -63,4 +66,27 @@ fn duplicate_lot_names_are_rejected_before_dispatch() {
     assert_eq!(report.lots.len(), 2);
     assert_eq!(report.lots[0].fleet.devices.len(), 10);
     assert_eq!(report.lots[1].fleet.devices.len(), 20);
+}
+
+#[test]
+fn oversized_cohort_is_rejected() {
+    let soc = Arc::new(catalog::figure2a_scan_soc());
+    let plan = CompiledProgram::compile(&soc, 4, packed_schedule(&soc, 4).expect("schedule"))
+        .expect("plan");
+    let cache = Arc::new(casbus::RouteTableCache::new());
+    let engine = PackedDeviceEngine::compile(&soc, &Arc::new(plan), &cache).expect("engine");
+    let spec = VariationSpec::new(5, 0.5);
+    let members = |n: u64| -> Vec<_> { (0..n).map(|id| (id, spec.fault_for(&soc, id))).collect() };
+
+    assert_eq!(
+        engine.run_cohort(members(COHORT_LANES as u64 + 1)),
+        Err(SimError::CohortTooLarge {
+            members: COHORT_LANES + 1,
+            lanes: COHORT_LANES,
+        })
+    );
+    let full = engine
+        .run_cohort(members(COHORT_LANES as u64))
+        .expect("a full cohort runs");
+    assert_eq!(full.len(), COHORT_LANES);
 }

@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fleet = if monitored {
         run_monitored(&runner, &spec, &metrics, on_report)?
     } else {
-        runner.run_with_metrics(&spec, FLEET_SIZE, &metrics, on_report)?
+        runner.run_with_metrics(&spec, FLEET_SIZE, &metrics, None, on_report)?
     };
 
     let defective = fleet.devices.iter().filter(|d| d.fault.is_some()).count();
@@ -145,8 +145,7 @@ fn run_monitored(
         seen
     });
 
-    let fleet =
-        runner.run_monitored_with_metrics(spec, FLEET_SIZE, metrics, &monitor, on_report)?;
+    let fleet = runner.run_with_metrics(spec, FLEET_SIZE, metrics, Some(&monitor), on_report)?;
 
     let dumps = monitor.dumps();
     let emitted = monitor.snapshots_emitted();

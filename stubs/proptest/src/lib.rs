@@ -5,8 +5,9 @@
 //! macro, `prop_assert*` macros, [`Strategy`] with `prop_map`, `any::<T>()`,
 //! integer/float range strategies, tuple strategies and
 //! [`collection::vec`]. Cases are sampled from a deterministic
-//! per-test-function seed; there is **no shrinking** — a failing case
-//! reports its case index and seed instead.
+//! per-test-function seed; there is **no shrinking** — a failing case,
+//! whether a `prop_assert*` failed or the body panicked, reports the
+//! property name, its case index and seed instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -385,6 +386,19 @@ macro_rules! prop_assert_ne {
     }};
 }
 
+/// The message a panic carried (`panic!` with a literal or a formatted
+/// string), or a placeholder for any other payload.
+#[doc(hidden)]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(message) = payload.downcast_ref::<&str>() {
+        (*message).to_owned()
+    } else if let Some(message) = payload.downcast_ref::<String>() {
+        message.clone()
+    } else {
+        "panic with a non-string payload".to_owned()
+    }
+}
+
 /// Declares property tests: each `fn name(arg in strategy, ...) { body }`
 /// item expands to a `#[test]` running `body` against sampled inputs.
 #[macro_export]
@@ -416,18 +430,30 @@ macro_rules! __proptest_impl {
                         seed ^ u64::from(case).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                     let mut rng = $crate::TestRng::from_seed(case_seed);
                     $(let $arg = $crate::Strategy::generate(&($strat), &mut rng);)+
-                    let outcome: ::core::result::Result<(), $crate::TestCaseError> =
-                        (|| {
+                    // A body that panics (a plain `assert!`) would lose the
+                    // case and seed: catch it and fail like `prop_assert!`.
+                    let outcome = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(
+                        || -> ::core::result::Result<(), $crate::TestCaseError> {
                             $body
                             ::core::result::Result::Ok(())
-                        })();
-                    if let ::core::result::Result::Err(err) = outcome {
+                        },
+                    ));
+                    let failure = match outcome {
+                        ::core::result::Result::Ok(::core::result::Result::Ok(())) => None,
+                        ::core::result::Result::Ok(::core::result::Result::Err(err)) => {
+                            Some(err.to_string())
+                        }
+                        ::core::result::Result::Err(payload) => {
+                            Some($crate::panic_message(payload.as_ref()))
+                        }
+                    };
+                    if let Some(message) = failure {
                         panic!(
                             "property {} failed on case {} (seed {:#x}): {}",
                             stringify!($name),
                             case,
                             case_seed,
-                            err
+                            message
                         );
                     }
                 }
@@ -464,6 +490,24 @@ mod tests {
             prop_assert_eq!(n % 2, 0);
             prop_assert_ne!(n, 17);
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        #[should_panic(expected = "failed on case")]
+        fn panicking_body_reports_its_case(x in 0u64..4) {
+            assert_eq!(x, 99, "a plain assert, not prop_assert");
+        }
+    }
+
+    #[test]
+    fn panic_messages_are_recovered() {
+        let caught = std::panic::catch_unwind(|| panic!("boom {}", 7)).unwrap_err();
+        assert_eq!(crate::panic_message(caught.as_ref()), "boom 7");
+        let caught = std::panic::catch_unwind(|| panic!("plain")).unwrap_err();
+        assert_eq!(crate::panic_message(caught.as_ref()), "plain");
     }
 
     #[test]
